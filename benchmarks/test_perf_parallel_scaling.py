@@ -68,11 +68,21 @@ def _serial_suite(ev, sid, block=64):
     return d, cs, h
 
 
+def _requests(block=64):
+    return [(name, {"block": block}) for name in ("diagnostics", "captures", "reuse")]
+
+
 def _parallel_suite(eng, ev, sid, block=64):
-    d = eng.diagnostics(ev, rho=2.0, block=block, sample_id=sid)
-    cs = eng.captures_survivals(ev, block, sample_id=sid)
-    h = eng.reuse_histogram(ev, block, sid)
-    return d, cs, h
+    res = eng.run_passes(ev, _requests(block), rho=2.0, sample_id=sid)
+    return res["diagnostics"], res["captures"], res["reuse"]
+
+
+def _per_metric_suite(eng, ev, sid, block=64):
+    """The suite as one scan per metric (the fused schedule's baseline)."""
+    return tuple(
+        eng.run_passes(ev, [req], rho=2.0, sample_id=sid)[req[0]]
+        for req in _requests(block)
+    )
 
 
 @pytest.fixture(scope="module")
@@ -111,7 +121,8 @@ def test_parallel_scaling_4_workers(benchmark):
     metrics = MetricsRegistry() if journal_path else None
     eng = ParallelEngine(workers=4, journal=journal, metrics=metrics)
     try:
-        eng.footprint(ev[:200_000], sample_id=sid[:200_000])  # warm the pool up
+        # warm the pool up
+        eng.run_passes(ev[:200_000], ["diagnostics"], sample_id=sid[:200_000])
         with Timer() as t_parallel:
             parallel = benchmark.pedantic(
                 _parallel_suite, args=(eng, ev, sid), rounds=1, iterations=1
@@ -158,11 +169,6 @@ def test_fused_scan_not_slower_than_per_metric(tmp_path):
     the overhead test, damps scheduler noise.
     """
     ev, sid = _synthetic_trace(N_EXACT)
-    requests = [
-        ("diagnostics", {"block": 64}),
-        ("captures", {"block": 64}),
-        ("reuse", {"block": 64}),
-    ]
     rounds = 5
 
     journal_path = os.environ.get("MEMGAZE_BENCH_JOURNAL")
@@ -174,9 +180,9 @@ def test_fused_scan_not_slower_than_per_metric(tmp_path):
         for r in range(-1, rounds):  # round -1 is warm-up
             # no window_id -> no memoization; every round rescans
             with Timer() as t_per:
-                baseline = _parallel_suite(eng, ev, sid)
+                baseline = _per_metric_suite(eng, ev, sid)
             with Timer() as t_fused:
-                fused = eng.run_passes(ev, requests, rho=2.0, sample_id=sid)
+                fused = eng.run_passes(ev, _requests(), rho=2.0, sample_id=sid)
             if r >= 0:
                 per_times.append(t_per.elapsed)
                 fused_times.append(t_fused.elapsed)

@@ -48,15 +48,15 @@ from repro.core.reuse import (
     reuse_intervals,
 )
 from repro.core.parallel import (
-    CapturesPartial,
-    DiagnosticsPartial,
     LRUCache,
     ParallelEngine,
     plan_shards,
 )
 from repro.core.passes import (
     AnalysisPass,
+    CapturesPartial,
     ChunkContext,
+    DiagnosticsPartial,
     RunContext,
     UnknownPassError,
     fused_scan,

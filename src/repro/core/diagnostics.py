@@ -26,10 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.metrics import footprint, footprint_by_class
-from repro.trace.compress import decompress_counts, suppressed_count
-from repro.trace.event import EVENT_DTYPE, LoadClass
-
 __all__ = ["FootprintDiagnostics", "compute_diagnostics", "finalize_diagnostics"]
 
 
@@ -87,11 +83,9 @@ def finalize_diagnostics(
     """The diagnostic bundle from exact integer totals.
 
     This is the single site where the derived floats (F-hat, dF, the
-    percentages) are evaluated: both the serial
-    :func:`compute_diagnostics` and the mergeable
-    :class:`~repro.core.passes.DiagnosticsPartial` call it on identical
-    operands, which is what makes the sharded/fused results bit-identical
-    to the serial ones.
+    percentages) are evaluated, from the merged integer totals of a
+    :class:`~repro.core.passes.DiagnosticsPartial` — so any sharding of
+    a window finalizes to bit-identical results.
     """
     if rho < 1.0:
         raise ValueError(f"rho must be >= 1, got {rho}")
@@ -117,20 +111,9 @@ def compute_diagnostics(
     """Compute the diagnostic bundle for ``events`` (one window).
 
     ``rho`` is the sample ratio used to scale observed quantities to the
-    population (pass 1.0 for exact intra-window analysis).
+    population (pass 1.0 for exact intra-window analysis). A one-chunk
+    run of :class:`~repro.core.passes.DiagnosticsPartial`.
     """
-    if events.dtype != EVENT_DTYPE:
-        raise TypeError(f"expected EVENT_DTYPE events, got {events.dtype}")
-    by_class = footprint_by_class(events, block)
-    n_const_accesses = suppressed_count(events) + int(
-        (events["cls"] == int(LoadClass.CONSTANT)).sum()
-    )
-    return finalize_diagnostics(
-        a_obs=len(events),
-        a_implied=decompress_counts(events),
-        f=footprint(events, block),
-        f_str=by_class[LoadClass.STRIDED],
-        f_irr=by_class[LoadClass.IRREGULAR],
-        n_const_accesses=n_const_accesses,
-        rho=rho,
-    )
+    from repro.core.passes import DiagnosticsPartial
+
+    return DiagnosticsPartial.from_events(events, block).finalize(rho)

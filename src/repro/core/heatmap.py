@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro._util.validate import check_power_of_two
-from repro.core.reuse import reuse_distances
 from repro.trace.event import EVENT_DTYPE, LoadClass
 
 __all__ = [
@@ -22,6 +21,7 @@ __all__ = [
     "region_points",
     "accumulate_heatmap",
     "finalize_heatmap",
+    "heatmap_request",
     "access_heatmap",
     "render_heatmap_ascii",
 ]
@@ -67,8 +67,7 @@ def region_points(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(addr, t, d) of the non-Constant accesses falling in the region.
 
-    Shared by the serial :func:`access_heatmap` and the heatmap analysis
-    pass so both filter identically.
+    The heatmap analysis pass's per-chunk region filter.
     """
     addr = nc["addr"].astype(np.int64)
     t = nc["t"].astype(np.int64)
@@ -128,6 +127,42 @@ def finalize_heatmap(
     )
 
 
+def heatmap_request(
+    events: np.ndarray,
+    base: int,
+    size: int,
+    *,
+    n_pages: int = 64,
+    n_bins: int = 64,
+    access_block: int = 64,
+) -> tuple[str, dict]:
+    """The ``heatmap`` pass request for the region ``[base, base+size)``.
+
+    Validates the arguments and fixes the bin geometry from the whole
+    trace, which must happen before any sharding so partial matrices
+    line up.
+    """
+    if events.dtype != EVENT_DTYPE:
+        raise TypeError(f"expected EVENT_DTYPE events, got {events.dtype}")
+    if size <= 0 or n_pages <= 0 or n_bins <= 0:
+        raise ValueError("size, n_pages and n_bins must be > 0")
+    check_power_of_two("block", access_block)
+    nc = events[events["cls"] != int(LoadClass.CONSTANT)]
+    page_size, t_edges = heatmap_geometry(nc, size, n_pages, n_bins)
+    return (
+        "heatmap",
+        {
+            "base": base,
+            "size": size,
+            "page_size": page_size,
+            "t_edges": t_edges,
+            "n_pages": n_pages,
+            "n_bins": n_bins,
+            "access_block": access_block,
+        },
+    )
+
+
 def access_heatmap(
     events: np.ndarray,
     base: int,
@@ -142,34 +177,15 @@ def access_heatmap(
 
     ``counts[p, b]`` is the number of accesses to page ``p`` during time
     bin ``b``; ``reuse[p, b]`` the mean intra-sample reuse distance of
-    the reusing accesses in that cell (NaN when none reuse).
+    the reusing accesses in that cell (NaN when none reuse). A one-chunk
+    run of the ``heatmap`` analysis pass.
     """
-    if events.dtype != EVENT_DTYPE:
-        raise TypeError(f"expected EVENT_DTYPE events, got {events.dtype}")
-    if size <= 0 or n_pages <= 0 or n_bins <= 0:
-        raise ValueError("size, n_pages and n_bins must be > 0")
-    check_power_of_two("block", access_block)
+    from repro.core.passes import fused_scan
 
-    mask = events["cls"] != int(LoadClass.CONSTANT)
-    nc = events[mask]
-    sid = sample_id[mask] if sample_id is not None else None
-    d = reuse_distances(nc, access_block, sid)
-    addr, t, d = region_points(nc, d, base, size)
-
-    page_size, t_edges = heatmap_geometry(nc, size, n_pages, n_bins)
-    counts, dsum, dcnt = accumulate_heatmap(
-        addr,
-        t,
-        d,
-        base=base,
-        page_size=page_size,
-        t_edges=t_edges,
-        n_pages=n_pages,
-        n_bins=n_bins,
+    request = heatmap_request(
+        events, base, size, n_pages=n_pages, n_bins=n_bins, access_block=access_block
     )
-    return finalize_heatmap(
-        counts, dsum, dcnt, base=base, page_size=page_size, t_edges=t_edges
-    )
+    return fused_scan([(events, sample_id)], [request])["heatmap"]
 
 
 _SHADES = " .:-=+*#%@"

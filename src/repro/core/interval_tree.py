@@ -18,12 +18,14 @@ intervals over time with F / Delta-F / D / A-hat per interval.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Callable
 
 import numpy as np
 
 from repro.core.diagnostics import FootprintDiagnostics, compute_diagnostics
-from repro.core.reuse import mean_reuse_distance
+from repro.core.parallel import ParallelEngine
+from repro.core.passes import DiagnosticsPartial
 from repro.trace.collector import CollectionResult
 from repro.trace.event import EVENT_DTYPE
 
@@ -72,45 +74,46 @@ class ExecutionIntervalTree:
         """
         fn_names = fn_names or {}
         leaves: list[IntervalNode] = []
+        # each node carries its mergeable diagnostics partial: a merged
+        # node's diagnostics are its children's partials merged, then
+        # finalized with rho — exactly the diagnostics of their events
+        level_nodes: list[tuple[IntervalNode, DiagnosticsPartial]] = []
         for sample in collection.samples():
             if len(sample) == 0:
                 continue
+            partial = DiagnosticsPartial.from_events(sample, block)
             node = IntervalNode(
                 level=0,
                 t_start=int(sample["t"][0]),
                 t_end=int(sample["t"][-1]) + 1,
-                diagnostics=compute_diagnostics(sample, rho=1.0, block=block),
+                diagnostics=partial.finalize(),
                 exact=True,
             )
             node.children = cls._build_below(sample, intra_splits, block, fn_names)
             leaves.append(node)
+            level_nodes.append((node, partial))
         if not leaves:
             raise ValueError("collection has no non-empty samples")
 
         # merge pairwise upward; merged metrics are rho-scaled estimates
-        level_nodes = leaves
         level = 0
-        events_of: dict[int, np.ndarray] = {
-            id(n): s for n, s in zip(leaves, collection.samples())
-        }
         while len(level_nodes) > 1:
             level += 1
-            merged: list[IntervalNode] = []
+            merged: list[tuple[IntervalNode, DiagnosticsPartial]] = []
             for i in range(0, len(level_nodes), 2):
                 group = level_nodes[i : i + 2]
-                ev = np.concatenate([events_of[id(n)] for n in group])
+                partial = reduce(DiagnosticsPartial.merge, [p for _, p in group])
                 node = IntervalNode(
                     level=level,
-                    t_start=group[0].t_start,
-                    t_end=group[-1].t_end,
-                    diagnostics=compute_diagnostics(ev, rho=rho, block=block),
+                    t_start=group[0][0].t_start,
+                    t_end=group[-1][0].t_end,
+                    diagnostics=partial.finalize(rho),
                     exact=False,
-                    children=list(group),
+                    children=[n for n, _ in group],
                 )
-                events_of[id(node)] = ev
-                merged.append(node)
+                merged.append((node, partial))
             level_nodes = merged
-        return cls(level_nodes[0], leaves)
+        return cls(level_nodes[0][0], leaves)
 
     @staticmethod
     def _build_below(
@@ -191,45 +194,44 @@ def access_interval_metrics(
     growth ``dF``, intra-sample mean reuse distance ``D``, and estimated
     accesses ``A``.
 
-    With a :class:`~repro.core.parallel.ParallelEngine` passed as
-    ``engine``, interval windows are computed through it — sharded when
-    large, and memoized under ``(window_id, block, metric)`` so repeated
-    zoom queries at the same interval geometry are free (``cache_token``
-    namespaces the windows; pass the owning result's token).
+    Each interval is one :meth:`~repro.core.parallel.ParallelEngine.run_passes`
+    call for the diagnostics and reuse passes, through ``engine`` (an
+    inline one-worker engine when ``None``). With a ``cache_token`` the
+    interval partials are memoized under ``(token, lo, hi)`` so repeated
+    zoom queries at the same interval geometry are free (pass the owning
+    result's token).
     """
     if events.dtype != EVENT_DTYPE:
         raise TypeError(f"expected EVENT_DTYPE events, got {events.dtype}")
     if n_intervals <= 0:
         raise ValueError(f"n_intervals must be > 0, got {n_intervals}")
+    if engine is None:
+        engine = ParallelEngine(workers=1)
+    requests = [("diagnostics", {"block": block}), ("reuse", {"block": reuse_block})]
     n = len(events)
     rows: list[dict] = []
     edges = np.linspace(0, n, n_intervals + 1).astype(np.int64)
     for k in range(n_intervals):
         lo, hi = int(edges[k]), int(edges[k + 1])
-        part = events[lo:hi]
-        if len(part) == 0:
+        if lo == hi:
             rows.append(
                 {"interval": k, "F": 0.0, "dF": 0.0, "D": 0.0, "A": 0.0, "A_obs": 0}
             )
             continue
-        sid = sample_id[lo:hi] if sample_id is not None else None
-        if engine is not None:
-            window_id = (cache_token, lo, hi) if cache_token is not None else None
-            diag = engine.diagnostics(
-                part, rho=rho, block=block, sample_id=sid, window_id=window_id
-            )
-            d = engine.reuse_histogram(
-                part, block=reuse_block, sample_id=sid, window_id=window_id
-            ).mean
-        else:
-            diag = compute_diagnostics(part, rho=rho, block=block)
-            d = mean_reuse_distance(part, block=reuse_block, sample_id=sid)
+        results = engine.run_passes(
+            events[lo:hi],
+            requests,
+            sample_id=sample_id[lo:hi] if sample_id is not None else None,
+            rho=rho,
+            window_id=(cache_token, lo, hi) if cache_token is not None else None,
+        )
+        diag = results["diagnostics"]
         rows.append(
             {
                 "interval": k,
                 "F": diag.F_est,
                 "dF": diag.dF,
-                "D": d,
+                "D": results["reuse"].mean,
                 "A": diag.A_est,
                 "A_obs": diag.A_obs,
             }

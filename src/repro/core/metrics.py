@@ -64,25 +64,16 @@ def nonconstant(events: np.ndarray) -> np.ndarray:
     return events[events["cls"] != int(LoadClass.CONSTANT)]
 
 
-def _has_constant(events: np.ndarray) -> bool:
-    return bool(
-        np.any(events["cls"] == int(LoadClass.CONSTANT))
-        or np.any(events["n_const"] > 0)
-    )
-
-
 def footprint(events: np.ndarray, block: int = 1) -> int:
     """Observed footprint ``F`` of a window, in blocks.
 
     Unique non-Constant blocks, plus one unit when any Constant access
-    (recorded or suppressed) occurred.
+    (recorded or suppressed) occurred. A one-chunk run of the
+    diagnostics pass partial.
     """
-    _check(events)
-    if len(events) == 0:
-        return 0
-    nc = nonconstant(events)
-    uniq = len(np.unique(block_ids(nc, block)))
-    return uniq + (1 if _has_constant(events) else 0)
+    from repro.core.passes import DiagnosticsPartial
+
+    return DiagnosticsPartial.from_events(events, block).footprint
 
 
 def footprint_by_class(events: np.ndarray, block: int = 1) -> dict[LoadClass, int]:
@@ -92,27 +83,16 @@ def footprint_by_class(events: np.ndarray, block: int = 1) -> dict[LoadClass, in
     each class (the decomposition highlights pattern mix, not a
     partition); the headline ``F`` remains :func:`footprint`.
     """
-    _check(events)
-    out: dict[LoadClass, int] = {
-        LoadClass.CONSTANT: 1 if _has_constant(events) else 0
-    }
-    ids = block_ids(events, block)
-    for cls in (LoadClass.STRIDED, LoadClass.IRREGULAR):
-        mask = events["cls"] == int(cls)
-        out[cls] = int(len(np.unique(ids[mask]))) if mask.any() else 0
-    return out
+    from repro.core.passes import DiagnosticsPartial
+
+    return DiagnosticsPartial.from_events(events, block).footprint_by_class
 
 
 def captures_survivals(events: np.ndarray, block: int = 1) -> tuple[int, int]:
     """(C, S): non-Constant blocks with and without reuse in the window."""
-    _check(events)
-    nc = nonconstant(events)
-    if len(nc) == 0:
-        return 0, 0
-    _, counts = np.unique(block_ids(nc, block), return_counts=True)
-    captures = int((counts >= 2).sum())
-    survivals = int((counts == 1).sum())
-    return captures, survivals
+    from repro.core.passes import CapturesPartial
+
+    return CapturesPartial.from_events(events, block).finalize()
 
 
 def estimated_footprint(

@@ -26,10 +26,11 @@ exploits that by
 
 Every metric is a registered :class:`~repro.core.passes.AnalysisPass`;
 the engine is "merely" the scheduler-aware shard-map-merge executor for
-them. :meth:`ParallelEngine.run_passes` is the general entry point —
-any set of registered passes, one fused scan — and the named methods
-(:meth:`~ParallelEngine.footprint`, :meth:`~ParallelEngine.diagnostics`,
-...) are convenience wrappers over it.
+them. :meth:`ParallelEngine.run_passes` is the entry point for any set
+of registered passes over in-memory events (one fused scan),
+:meth:`~ParallelEngine.analyze_file` streams an archive through the same
+passes, and :meth:`~ParallelEngine.heatmap` fixes a heatmap's bin
+geometry before running its pass.
 
 Exactness argument, per pass:
 
@@ -49,8 +50,9 @@ Exactness argument, per pass:
 * *hotspots / roi* — per-function counts merge by zero-padded integer
   addition; code ranges by per-function (min, max) folds.
 * *derived floats* (``dF``, ``A_est``, mean D, cell means) are computed
-  once, from merged integer totals, by the same expressions the serial
-  code uses — identical operands, identical results.
+  once, from merged integer totals, by each pass's ``finalize`` — the
+  serial functions are one-chunk runs of the same passes, so identical
+  operands give identical results.
 
 The engine also memoizes merged partials in an LRU cache keyed by
 ``(window_id, params, pass)`` so repeated zoom/interval queries over
@@ -85,13 +87,10 @@ import numpy as np
 
 from repro._util.lru import LRUCache
 from repro._util.timers import StageTimers
-from repro._util.validate import check_power_of_two
 from repro.core.artifacts import MISS, ArtifactStore, freeze_params
 from repro.core.diagnostics import FootprintDiagnostics
-from repro.core.heatmap import HeatmapResult, heatmap_geometry
+from repro.core.heatmap import HeatmapResult, heatmap_request
 from repro.core.passes import (
-    CapturesPartial,
-    DiagnosticsPartial,
     ResolvedRequest,
     RunContext,
     account_scan_stats,
@@ -103,12 +102,9 @@ from repro.core.passes import (
 )
 from repro.core.reuse import _HIST_MAX_EXP, ReuseHistogram
 from repro.core.shm import ShardRef, SharedSlab, attach_shard, publish_shard
-from repro.trace.event import EVENT_DTYPE, LoadClass
 
 __all__ = [
     "plan_shards",
-    "DiagnosticsPartial",
-    "CapturesPartial",
     "LRUCache",
     "ParallelEngine",
     "FileAnalysis",
@@ -197,15 +193,6 @@ def scan_chunk_shm(ref: ShardRef, specs, journal):
     return scan_chunk(events, sid, specs, journal)
 
 
-def _fn_window_worker(
-    events: np.ndarray, rho: float, block: int
-) -> FootprintDiagnostics:
-    """Per-function code-window diagnostics (runs in a worker)."""
-    from repro.core.diagnostics import compute_diagnostics
-
-    return compute_diagnostics(events, rho=rho, block=block)
-
-
 # the canonical param-freezing now lives next to the persistent store so
 # in-memory LRU keys and on-disk cache keys can never drift apart
 _freeze = freeze_params
@@ -224,12 +211,14 @@ def _needs_whole(scheduled: list[ResolvedRequest], sample_id) -> bool:
 class ParallelEngine:
     """Scheduler-aware shard-map-merge executor for the analysis passes.
 
-    ``workers <= 1`` runs the identical shard+merge path inline (useful
-    for testing the merge operators and as the no-pool fallback);
-    ``workers > 1`` fans shards out over a process pool. Either way the
-    output is bit-identical to the serial functions in
-    :mod:`repro.core.metrics` / :mod:`repro.core.reuse` /
-    :mod:`repro.core.heatmap` / :mod:`repro.core.hotspot`.
+    Three entry points: :meth:`run_passes` (any registered passes over
+    in-memory events), :meth:`analyze_file` (an archive, streamed) and
+    :meth:`heatmap`. ``workers <= 1`` runs the identical shard+merge
+    path inline, with no pool; ``workers > 1`` fans shards out over a
+    process pool. Either way the output is bit-identical to the serial
+    functions in :mod:`repro.core.metrics` / :mod:`repro.core.reuse` /
+    :mod:`repro.core.heatmap` / :mod:`repro.core.hotspot`, which run the
+    same pass partials over one chunk.
     """
 
     def __init__(
@@ -537,88 +526,6 @@ class ParallelEngine:
             scheduled, merged, RunContext(rho=rho, fn_names=fn_names or {})
         )
 
-    def _partial(
-        self,
-        events: np.ndarray,
-        sample_id: np.ndarray | None,
-        request: tuple[str, dict],
-        window_id,
-    ):
-        """One pass's merged (unfinalized) partial, memoized."""
-        scheduled = schedule_passes([request])
-        return self._merged_partials(events, sample_id, scheduled, window_id)[-1]
-
-    # -- public metric API (mirrors the serial functions) --
-
-    def footprint(
-        self,
-        events: np.ndarray,
-        block: int = 1,
-        sample_id: np.ndarray | None = None,
-        window_id=None,
-    ) -> int:
-        """Observed footprint F; equals :func:`repro.core.metrics.footprint`."""
-        p = self._partial(events, sample_id, ("diagnostics", {"block": block}), window_id)
-        return p.footprint
-
-    def footprint_by_class(
-        self,
-        events: np.ndarray,
-        block: int = 1,
-        sample_id: np.ndarray | None = None,
-        window_id=None,
-    ) -> dict[LoadClass, int]:
-        """Per-class footprint; equals the serial decomposition."""
-        p = self._partial(events, sample_id, ("diagnostics", {"block": block}), window_id)
-        return p.footprint_by_class
-
-    def captures_survivals(
-        self,
-        events: np.ndarray,
-        block: int = 1,
-        sample_id: np.ndarray | None = None,
-        window_id=None,
-    ) -> tuple[int, int]:
-        """(C, S); equals :func:`repro.core.metrics.captures_survivals`."""
-        p = self._partial(events, sample_id, ("captures", {"block": block}), window_id)
-        return p.finalize()
-
-    def diagnostics(
-        self,
-        events: np.ndarray,
-        rho: float = 1.0,
-        block: int = 1,
-        sample_id: np.ndarray | None = None,
-        window_id=None,
-    ) -> FootprintDiagnostics:
-        """The diagnostic bundle; equals
-        :func:`repro.core.diagnostics.compute_diagnostics`."""
-        p = self._partial(events, sample_id, ("diagnostics", {"block": block}), window_id)
-        return p.finalize(rho)
-
-    def reuse_histogram(
-        self,
-        events: np.ndarray,
-        block: int = 64,
-        sample_id: np.ndarray | None = None,
-        window_id=None,
-        max_exp: int = _HIST_MAX_EXP,
-    ) -> ReuseHistogram:
-        """Reuse-distance histogram; equals
-        :func:`repro.core.reuse.reuse_histogram`.
-
-        Distance tracking resets only at sample boundaries, so without
-        ``sample_id`` the trace is one window and cannot be cut: the
-        scheduler then runs the scan as a single shard
-        (``ReusePass.whole_without_samples``).
-        """
-        return self._partial(
-            events,
-            sample_id,
-            ("reuse", {"block": block, "max_exp": max_exp}),
-            window_id,
-        )
-
     def heatmap(
         self,
         events: np.ndarray,
@@ -631,63 +538,15 @@ class ParallelEngine:
         sample_id: np.ndarray | None = None,
     ) -> HeatmapResult:
         """Region heatmap; equals :func:`repro.core.heatmap.access_heatmap`."""
-        if events.dtype != EVENT_DTYPE:
-            raise TypeError(f"expected EVENT_DTYPE events, got {events.dtype}")
-        if size <= 0 or n_pages <= 0 or n_bins <= 0:
-            raise ValueError("size, n_pages and n_bins must be > 0")
-        check_power_of_two("block", access_block)
-        # geometry must be fixed globally before sharding
-        nc = events[events["cls"] != int(LoadClass.CONSTANT)]
-        page_size, t_edges = heatmap_geometry(nc, size, n_pages, n_bins)
-        request = (
-            "heatmap",
-            {
-                "base": base,
-                "size": size,
-                "page_size": page_size,
-                "t_edges": t_edges,
-                "n_pages": n_pages,
-                "n_bins": n_bins,
-                "access_block": access_block,
-            },
+        request = heatmap_request(
+            events,
+            base,
+            size,
+            n_pages=n_pages,
+            n_bins=n_bins,
+            access_block=access_block,
         )
-        results = self.run_passes(events, [request], sample_id=sample_id)
-        return results["heatmap"]
-
-    def code_windows(
-        self,
-        events: np.ndarray,
-        rho: float = 1.0,
-        block: int = 1,
-        fn_names: dict[int, str] | None = None,
-    ) -> dict[str, FootprintDiagnostics]:
-        """Per-function diagnostics; equals
-        :func:`repro.core.windows.code_windows`.
-
-        Functions are natural shards — each worker gets one function's
-        accumulated accesses.
-        """
-        if events.dtype != EVENT_DTYPE:
-            raise TypeError(f"expected EVENT_DTYPE events, got {events.dtype}")
-        fn_names = fn_names or {}
-        fids = np.unique(events["fn"])
-        out: dict[str, FootprintDiagnostics] = {}
-        if self.workers > 1 and len(fids) > 1 and len(events) >= _MIN_PARALLEL_EVENTS:
-            pool = self._executor()
-            with self.timers.stage("compute", items=len(events)):
-                futures = {
-                    int(fid): pool.submit(
-                        _fn_window_worker, events[events["fn"] == fid], rho, block
-                    )
-                    for fid in fids
-                }
-                for fid, fut in futures.items():
-                    out[fn_names.get(fid, f"fn{fid}")] = fut.result()
-            return out
-        from repro.core.windows import code_windows as serial_code_windows
-
-        with self.timers.stage("compute", items=len(events)):
-            return serial_code_windows(events, rho=rho, block=block, fn_names=fn_names)
+        return self.run_passes(events, [request], sample_id=sample_id)["heatmap"]
 
     # -- streamed file analysis --
 

@@ -11,8 +11,10 @@ at once instead of re-reading the trace once per metric:
   artifact keys, ``init() → partial``, ``update(partial, chunk, params)``,
   ``merge(a, b)``, ``finalize(partial, ctx, params)``. Partials follow
   the merge algebra of :mod:`repro.core.parallel` (associative +
-  identity, integers until finalize), so fused results stay
-  **bit-identical** to the legacy serial functions.
+  identity, integers until finalize), so any chunking finalizes to the
+  same bits. A partial is its metric's only implementation: the serial
+  functions (``footprint``, ``compute_diagnostics``, ``code_windows``,
+  ``access_heatmap``, ...) are one-chunk runs of these passes.
 * :class:`ChunkContext` — the per-chunk artifact context. Shared
   intermediates (block-id arrays per block size, class masks, the
   non-Constant view, reuse-distance arrays, sample boundaries) are
@@ -562,10 +564,9 @@ def fused_scan(
 ) -> dict[str, Any]:
     """Run every requested pass in **one** serial scan over ``chunks``.
 
-    The streaming analogue of calling each legacy metric function in
-    turn — except the trace is read once, shared intermediates are
-    computed once per chunk, and the result of every pass is
-    bit-identical to its serial function. The
+    The trace is read once, shared intermediates are computed once per
+    chunk, and the result of every pass is the same for any chunking.
+    Over a single chunk this *is* the serial metric function. The
     :class:`~repro.core.parallel.ParallelEngine` offers the same
     semantics fanned out over a process pool.
     """
@@ -609,10 +610,10 @@ class DiagnosticsPartial:
 
     Unique block ids are sorted ``uint64`` arrays (set semantics); the
     counters are plain integers. :meth:`merge` is associative and
-    commutative, and :meth:`finalize` evaluates the exact expressions of
-    :func:`repro.core.diagnostics.compute_diagnostics` (via the shared
-    :func:`~repro.core.diagnostics.finalize_diagnostics`) on the merged
-    integer totals.
+    commutative, and :meth:`finalize` evaluates
+    :func:`~repro.core.diagnostics.finalize_diagnostics` on the merged
+    integer totals. :func:`~repro.core.diagnostics.compute_diagnostics`
+    is ``from_events(events, block).finalize(rho)``.
     """
 
     blocks: np.ndarray  # sorted unique non-Constant block ids
@@ -681,7 +682,7 @@ class DiagnosticsPartial:
         }
 
     def finalize(self, rho: float = 1.0) -> FootprintDiagnostics:
-        """The diagnostic bundle, identical to the serial computation."""
+        """The diagnostic bundle of the merged window."""
         return finalize_diagnostics(
             a_obs=self.a_obs,
             a_implied=self.a_obs + self.n_suppressed,
@@ -838,8 +839,7 @@ class WindowsPass(AnalysisPass):
         return out
 
     def finalize(self, partial, ctx, params):
-        # ascending function id, so a name collision resolves the same
-        # way the serial code_windows loop does (highest id wins)
+        # ascending function id, so on a name collision the highest id wins
         return {
             ctx.fn_names.get(fid, f"fn{fid}"): p.finalize(ctx.rho)
             for fid, p in sorted(partial.items())
@@ -978,7 +978,7 @@ class HeatmapPass(AnalysisPass):
     requires = ("nonconstant", "reuse_distances")
     defaults = {"access_block": 64}
     #: bin geometry must be fixed from the whole trace before scanning;
-    #: :meth:`repro.core.parallel.ParallelEngine.heatmap` does that.
+    #: :func:`repro.core.heatmap.heatmap_request` does that.
     needs = ("base", "size", "page_size", "t_edges", "n_pages", "n_bins")
     whole_without_samples = True
 

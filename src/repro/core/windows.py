@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.diagnostics import FootprintDiagnostics, compute_diagnostics
+from repro.core.diagnostics import FootprintDiagnostics
 from repro.core.metrics import block_ids
+from repro.core.passes import fused_scan
 from repro.trace.event import EVENT_DTYPE, LoadClass
 
 __all__ = ["trace_window_metrics", "code_windows", "unique_per_group"]
@@ -123,14 +124,12 @@ def code_windows(
     Returns ``{function: diagnostics}``; functions are named through
     ``fn_names`` (falling back to ``fn<id>``). Within a code window all
     of a function's sampled accesses across all samples accumulate, and
-    population counts use the inter-window estimators (``rho``).
+    population counts use the inter-window estimators (``rho``). A
+    one-chunk run of the ``windows`` analysis pass.
     """
     if events.dtype != EVENT_DTYPE:
         raise TypeError(f"expected EVENT_DTYPE events, got {events.dtype}")
-    fn_names = fn_names or {}
-    out: dict[str, FootprintDiagnostics] = {}
-    for fid in np.unique(events["fn"]):
-        window = events[events["fn"] == fid]
-        name = fn_names.get(int(fid), f"fn{int(fid)}")
-        out[name] = compute_diagnostics(window, rho=rho, block=block)
-    return out
+    results = fused_scan(
+        [(events, None)], [("windows", {"block": block})], rho=rho, fn_names=fn_names
+    )
+    return results["windows"]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro._util.validate import check_positive, check_power_of_two
-from repro.core.metrics import captures_survivals, footprint
+from repro.core.passes import fused_scan
 from repro.trace.collector import CollectionResult
 from repro.trace.compress import sample_ratio_from
 
@@ -59,13 +59,16 @@ def working_set_curve(
     if n == 0:
         return out
     edges = np.linspace(0, n, n_intervals + 1).astype(np.int64)
+    # F and (C, S) of an interval share one scan of its page ids
+    requests = [("diagnostics", {"block": page_size}), ("captures", {"block": page_size})]
     for k in range(n_intervals):
         lo, hi = int(edges[k]), int(edges[k + 1])
         part = events[lo:hi]
         if len(part) == 0:
             continue
-        pages = footprint(part, block=page_size)
-        c, s = captures_survivals(part, block=page_size)
+        results = fused_scan([(part, None)], requests)
+        pages = results["diagnostics"].F
+        c, s = results["captures"]
         out.append(
             WorkingSetPoint(
                 interval=k,

@@ -108,27 +108,32 @@ class ServeSession:
         becomes chunk-scoped, incremental re-analysis stops matching) —
         journaled once, on the degrading chunk.
         """
-        self._events.append(np.asarray(events))
-        if self._sids is not None:
-            if sample_id is None:
-                if self.n_chunks and self.journal is not None:
-                    self.journal.warning(
-                        "chunk carries no sample ids: session archive "
-                        "degrades to sid-less (chunk-scoped reuse, no "
-                        "incremental re-analysis)",
-                        chunk=self.n_chunks,
-                    )
-                self._sids = None
-            else:
-                self._sids.append(np.asarray(sample_id, dtype=np.int32))
+        events = np.asarray(events)
+        # write_trace validates the chunk (dtype, load-class codes) before
+        # publishing; nothing is committed until it succeeds, so a
+        # rejected chunk leaves the session as it was
+        new_events = self._events + [events]
+        new_sids = None
+        degrades = self._sids is not None and sample_id is None
+        if self._sids is not None and sample_id is not None:
+            new_sids = self._sids + [np.asarray(sample_id, dtype=np.int32)]
+        write_trace(
+            self.archive,
+            np.concatenate(new_events),
+            self.meta,
+            None if new_sids is None else np.concatenate(new_sids),
+            atomic=True,
+        )
+        if degrades and self.n_chunks and self.journal is not None:
+            self.journal.warning(
+                "chunk carries no sample ids: session archive "
+                "degrades to sid-less (chunk-scoped reuse, no "
+                "incremental re-analysis)",
+                chunk=self.n_chunks,
+            )
+        self._events, self._sids = new_events, new_sids
         self.n_chunks += 1
         self.n_events += int(len(events))
-
-        all_events = np.concatenate(self._events) if self._events else events
-        all_sids = (
-            None if self._sids is None else np.concatenate(self._sids)
-        )
-        write_trace(self.archive, all_events, self.meta, all_sids, atomic=True)
 
         analysis = engine.analyze_file(self.archive)
         self.last_mode = analysis.mode

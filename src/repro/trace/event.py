@@ -34,6 +34,8 @@ __all__ = [
     "empty_events",
     "make_events",
     "concat_events",
+    "first_invalid_class",
+    "check_load_classes",
 ]
 
 
@@ -110,3 +112,24 @@ def concat_events(parts: list[np.ndarray]) -> np.ndarray:
     if not parts:
         return empty_events()
     return np.concatenate(parts)
+
+
+def first_invalid_class(events: np.ndarray) -> int | None:
+    """Index of the first record whose ``cls`` is no :class:`LoadClass` code.
+
+    ``None`` when every record is valid. ``cls`` is unsigned, so only
+    codes above the largest class can be out of range.
+    """
+    bad = events["cls"] > max(LoadClass)
+    return int(np.argmax(bad)) if bad.any() else None
+
+
+def check_load_classes(events: np.ndarray) -> None:
+    """Raise ``ValueError`` naming the first out-of-range ``cls`` code."""
+    i = first_invalid_class(events)
+    if i is not None:
+        valid = ", ".join(f"{int(c)}={c.name}" for c in LoadClass)
+        raise ValueError(
+            f"record {i} has load-class code {int(events['cls'][i])}; "
+            f"valid codes are {valid}"
+        )

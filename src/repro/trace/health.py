@@ -45,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from repro._util.crc import crc32_chunks
-from repro.trace.event import EVENT_DTYPE
+from repro.trace.event import EVENT_DTYPE, LoadClass, first_invalid_class
 from repro.trace.tracefile import (
     TraceFormatError,
     TraceMeta,
@@ -342,6 +342,30 @@ def _verified_prefix(
     return events[:keep]
 
 
+def _valid_class_prefix(
+    events: np.ndarray, health: dict | None, report: HealthReport
+) -> np.ndarray:
+    """Cut the verified prefix before the first out-of-range load class.
+
+    Such a record passes its checksum but no analysis can classify it,
+    so it ends the usable prefix like any other damage: at the start of
+    its health chunk, or at the record itself without a health member.
+    """
+    i = first_invalid_class(events)
+    if i is None:
+        return events
+    step = int(health["chunk_events"]) if health is not None else 1
+    report.add(
+        KIND_SCHEMA,
+        f"record {i} has load-class code {int(events['cls'][i])}, "
+        f"outside {min(LoadClass):d}-{max(LoadClass):d}",
+        member="events",
+        chunk=i // step if health is not None else None,
+    )
+    report.n_events_ok = i - i % step
+    return events[: report.n_events_ok]
+
+
 def _audit_archive(path) -> _Audit:
     """One full pass: structural checks, metadata, verified event prefix."""
     actual = _actual_path(path)
@@ -396,8 +420,12 @@ def _audit_archive(path) -> _Audit:
                 f"{declared:,} declared records",
                 member="events",
             )
-        audit.events = _verified_prefix(
-            data, health, report, complete, corrupt="events.npy" in corrupt
+        audit.events = _valid_class_prefix(
+            _verified_prefix(
+                data, health, report, complete, corrupt="events.npy" in corrupt
+            ),
+            health,
+            report,
         )
 
     n_kept = 0 if audit.events is None else len(audit.events)

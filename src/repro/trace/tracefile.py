@@ -43,7 +43,7 @@ from typing import Iterator
 import numpy as np
 
 from repro._util.crc import crc32_chunks, crc32_of
-from repro.trace.event import EVENT_DTYPE
+from repro.trace.event import EVENT_DTYPE, check_load_classes
 
 __all__ = [
     "TraceFormatError",
@@ -149,9 +149,13 @@ def write_trace(
     service rewrites per-session archives on every ingest through this
     path; live ``memgaze report`` / ``validate-trace`` runs against a
     growing session archive therefore always find a valid file.
+
+    Raises ``ValueError`` — before touching the file — when a record's
+    load-class code is outside :class:`~repro.trace.event.LoadClass`.
     """
     if events.dtype != EVENT_DTYPE:
         raise TypeError(f"expected EVENT_DTYPE events, got {events.dtype}")
+    check_load_classes(events)
     path = Path(path)
     # small identifying members first: a tail-truncated file keeps them
     if sample_id is not None:
@@ -188,8 +192,9 @@ def _parse_meta(path, blob: bytes) -> TraceMeta:
 def read_trace(path) -> tuple[np.ndarray, TraceMeta, np.ndarray | None]:
     """Read a trace archive written by :func:`write_trace`.
 
-    Raises :class:`TraceFormatError` when a required member is missing
-    or the metadata does not parse.
+    Raises :class:`TraceFormatError` when a required member is missing,
+    the metadata does not parse, or a record carries a load-class code
+    outside :class:`~repro.trace.event.LoadClass`.
     """
     with np.load(path) as archive:
         for member in ("events", "meta"):
@@ -204,7 +209,16 @@ def read_trace(path) -> tuple[np.ndarray, TraceMeta, np.ndarray | None]:
         raise TraceFormatError(
             path, "events", f"archive events have dtype {events.dtype}"
         )
+    _check_classes(path, events)
     return events, meta, sample_id
+
+
+def _check_classes(path, events: np.ndarray) -> None:
+    """Map an out-of-range load-class code to TraceFormatError."""
+    try:
+        check_load_classes(events)
+    except ValueError as e:
+        raise TraceFormatError(path, "events", str(e)) from None
 
 
 def read_trace_meta(path) -> TraceMeta:
@@ -366,7 +380,7 @@ def iter_trace_chunks(
 
     A missing ``events`` member raises :class:`TraceFormatError` naming
     the archive and the member, instead of ``zipfile``'s bare
-    ``KeyError``. Passing a
+    ``KeyError``; so does a chunk with an out-of-range load-class code. Passing a
     :class:`~repro.obs.metrics.MetricsRegistry` as ``metrics`` counts
     chunks, events, and decompressed bytes read under
     ``trace.chunks_read`` / ``trace.events_read`` /
@@ -426,6 +440,7 @@ def iter_trace_chunks(
                         continue
                     carry_ev, carry_sid = ev[cut:], sid[cut:]
                     ev, sid = ev[:cut], sid[:cut]
+                _check_classes(actual, ev)
                 nbytes = ev.nbytes + (sid.nbytes if sid is not None else 0)
                 if metrics is not None:
                     metrics.counter("trace.chunks_read").inc()

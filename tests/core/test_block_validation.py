@@ -12,7 +12,8 @@ import pytest
 
 from repro.core.heatmap import access_heatmap
 from repro.core.metrics import block_ids, captures_survivals, footprint
-from repro.core.parallel import CapturesPartial, DiagnosticsPartial, ParallelEngine
+from repro.core.parallel import ParallelEngine
+from repro.core.passes import CapturesPartial, DiagnosticsPartial
 from repro.core.reuse import reuse_distances, reuse_histogram, reuse_intervals
 from repro.trace.event import make_events
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import oracles
 from repro.core.diagnostics import compute_diagnostics
 from repro.trace.event import make_events
 
@@ -77,3 +78,20 @@ def test_class_footprints_bound_total(cls):
     assert d.F == d.F_str + d.F_irr + has_const
     assert 0 <= d.A_const_pct <= 100
     assert 0 <= d.F_str_pct <= 100
+
+
+@given(
+    records=st.lists(
+        st.tuples(st.integers(0, 1 << 14), st.sampled_from([0, 1, 2]), st.integers(0, 3)),
+        max_size=200,
+    ),
+    block=st.sampled_from([1, 64, 4096]),
+    rho=st.floats(1.0, 1e4),
+)
+def test_matches_oracle(records, block, rho):
+    """compute_diagnostics equals the reference bundle, bit for bit."""
+    addr, cls, n_const = (list(col) for col in zip(*records)) if records else ([], [], [])
+    ev = make_events(ip=1, addr=np.asarray(addr, dtype=np.uint64), cls=cls, n_const=n_const)
+    assert compute_diagnostics(ev, rho=rho, block=block) == oracles.diagnostics(
+        ev, rho=rho, block=block
+    )

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
+from repro._util.rng import derive_rng
 from repro.core.interval_tree import ExecutionIntervalTree, access_interval_metrics
 from repro.trace.collector import collect_sampled_trace
 from repro.trace.event import make_events
@@ -57,6 +60,75 @@ class TestBuild:
         col = collect_sampled_trace(ev, config=cfg)
         with pytest.raises(ValueError):
             ExecutionIntervalTree.build(col, rho=1.0)
+
+
+def _leaves(node):
+    if node.level == 0:
+        return [node]
+    return [leaf for child in node.children for leaf in _leaves(child)]
+
+
+def _check_below(children, part, splits, block):
+    """Nodes under a sample against the oracle, mirroring the halving."""
+    if splits > 0 and len(part) >= 2:
+        half = len(part) // 2
+        assert len(children) == 2
+        for child, sub in zip(children, (part[:half], part[half:])):
+            assert child.diagnostics == oracles.diagnostics(sub, block=block)
+            _check_below(child.children, sub, splits - 1, block)
+        return
+    fids = np.unique(part["fn"])
+    assert [c.function for c in children] == [f"fn{int(f)}" for f in fids]
+    for child, fid in zip(children, fids):
+        sub = part[part["fn"] == fid]
+        assert child.diagnostics == oracles.diagnostics(sub, block=block)
+
+
+class TestBuildMatchesOracle:
+    @given(
+        n=st.integers(1, 3000),
+        period=st.integers(20, 400),
+        cap=st.integers(1, 64),
+        intra_splits=st.sampled_from([0, 1, 2]),
+        block=st.sampled_from([1, 64]),
+        seed=st.integers(0, 1000),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_merged_nodes_equal_concatenated_leaves(
+        self, n, period, cap, intra_splits, block, seed
+    ):
+        rng = derive_rng(seed, "interval-tree-oracle")
+        ev = make_events(
+            ip=1,
+            addr=rng.integers(0, 1 << 12, n),
+            cls=rng.integers(0, 3, n).astype(np.uint8),
+            n_const=rng.choice([0, 0, 2], n).astype(np.uint16),
+            fn=rng.integers(0, 4, n),
+        )
+        cfg = SamplingConfig(
+            period=period, buffer_capacity=cap, fill_jitter=0.3, seed=seed
+        )
+        col = collect_sampled_trace(ev, config=cfg)
+        samples = [s for s in col.samples() if len(s)]
+        if not samples:
+            return
+        rho = 1.0 + seed / 7
+        tree = ExecutionIntervalTree.build(
+            col, rho=rho, block=block, intra_splits=intra_splits
+        )
+        events_of = {id(leaf): s for leaf, s in zip(tree.samples, samples)}
+        stack = [tree.root]
+        while stack:
+            node = stack.pop()
+            if node.level > 0:
+                ev_node = np.concatenate([events_of[id(x)] for x in _leaves(node)])
+                assert node.diagnostics == oracles.diagnostics(
+                    ev_node, rho=rho, block=block
+                )
+                stack.extend(node.children)
+        for leaf, sample in zip(tree.samples, samples):
+            assert leaf.diagnostics == oracles.diagnostics(sample, block=block)
+            _check_below(leaf.children, sample, intra_splits, block)
 
 
 class TestZoom:

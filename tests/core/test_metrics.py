@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import oracles
 from repro.core.metrics import (
     block_ids,
     captures_survivals,
@@ -114,3 +115,19 @@ def test_footprint_invariants(addrs):
         assert footprint(prefix) <= f1
     c, s = captures_survivals(ev)
     assert c + s == f1
+
+
+@given(
+    records=st.lists(
+        st.tuples(st.integers(0, 1 << 14), st.sampled_from([0, 1, 2]), st.integers(0, 3)),
+        max_size=200,
+    ),
+    block=st.sampled_from([1, 8, 64, 4096]),
+)
+def test_serial_metrics_match_oracle(records, block):
+    """The pass-backed serial metrics equal the np.unique reference."""
+    addr, cls, n_const = (list(col) for col in zip(*records)) if records else ([], [], [])
+    ev = make_events(ip=1, addr=np.asarray(addr, dtype=np.uint64), cls=cls, n_const=n_const)
+    assert footprint(ev, block) == oracles.footprint(ev, block)
+    assert footprint_by_class(ev, block) == oracles.footprint_by_class(ev, block)
+    assert captures_survivals(ev, block) == oracles.captures_survivals(ev, block)

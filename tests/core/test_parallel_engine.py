@@ -1,9 +1,9 @@
 """Parallel == serial property tests for the sharded analysis engine.
 
 The engine's contract is *bit-identical* output: for any shard split,
-worker count, and block size, every merged metric must equal what the
-serial functions in :mod:`repro.core.metrics` / :mod:`repro.core.reuse`
-/ :mod:`repro.core.heatmap` / :mod:`repro.core.diagnostics` produce.
+worker count, and block size, every merged metric must equal the
+independent references in ``oracles.py`` (and the serial reuse
+functions in :mod:`repro.core.reuse`).
 """
 
 from __future__ import annotations
@@ -12,23 +12,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from repro._util.rng import derive_rng
-from repro.core.diagnostics import compute_diagnostics
-from repro.core.heatmap import access_heatmap
-from repro.core.metrics import captures_survivals, footprint, footprint_by_class
-from repro.core.parallel import (
-    CapturesPartial,
-    DiagnosticsPartial,
-    LRUCache,
-    ParallelEngine,
-    plan_shards,
-)
+from repro.core.parallel import LRUCache, ParallelEngine, plan_shards
+from repro.core.passes import CapturesPartial, DiagnosticsPartial
 from repro.core.reuse import ReuseHistogram, mean_reuse_distance, reuse_histogram
-from repro.core.windows import code_windows
 from repro.trace.event import LoadClass, make_events
 
 BLOCKS = [1, 64, 4096]
 WORKERS = [1, 2, 8]
+
+
+def _run(eng, ev, block=1, passes=("diagnostics", "captures"), **kw):
+    """One fused ``run_passes`` call over ``passes`` at one block size."""
+    return eng.run_passes(ev, [(name, {"block": block}) for name in passes], **kw)
 
 
 def _trace(n=4000, seed=0, n_samples=13, const_frac=0.2):
@@ -152,17 +149,21 @@ class TestParallelEqualsSerial:
     def test_all_metrics(self, workers, block):
         ev, sid = _trace(3000, seed=workers * 31 + block)
         with ParallelEngine(workers=workers, chunk_size=257) as eng:
-            assert eng.footprint(ev, block) == footprint(ev, block)
-            assert eng.footprint_by_class(ev, block) == footprint_by_class(ev, block)
-            assert eng.captures_survivals(ev, block) == captures_survivals(ev, block)
-            assert eng.diagnostics(ev, rho=4.25, block=block) == compute_diagnostics(
-                ev, rho=4.25, block=block
-            )
+            res = _run(eng, ev, block, rho=4.25)
+        by_class = oracles.footprint_by_class(ev, block)
+        assert res["diagnostics"].F == oracles.footprint(ev, block)
+        assert res["diagnostics"].F_str == by_class[LoadClass.STRIDED]
+        assert res["diagnostics"].F_irr == by_class[LoadClass.IRREGULAR]
+        assert res["captures"] == oracles.captures_survivals(ev, block)
+        # F = C + S + the one Constant unit
+        const_unit = res["diagnostics"].F - sum(res["captures"])
+        assert const_unit == by_class[LoadClass.CONSTANT]
+        assert res["diagnostics"] == oracles.diagnostics(ev, rho=4.25, block=block)
 
     def test_reuse_histogram(self, workers, block):
         ev, sid = _trace(2500, seed=workers + block)
         with ParallelEngine(workers=workers, chunk_size=199) as eng:
-            par = eng.reuse_histogram(ev, block, sid)
+            par = _run(eng, ev, block, ["reuse"], sample_id=sid)["reuse"]
         ser = reuse_histogram(ev, block, sid)
         assert np.array_equal(par.counts, ser.counts)
         assert par.d_sum == ser.d_sum and par.d_max == ser.d_max
@@ -174,9 +175,11 @@ class TestParallelEqualsSerialMore:
     def test_random_window_splits(self, chunk):
         ev, sid = _trace(2500, seed=chunk)
         with ParallelEngine(workers=1, chunk_size=chunk) as eng:
-            assert eng.diagnostics(ev, rho=2.0) == compute_diagnostics(ev, rho=2.0)
-            par = eng.reuse_histogram(ev, 64, sid)
-        assert np.array_equal(par.counts, reuse_histogram(ev, 64, sid).counts)
+            res = _run(eng, ev, 64, ["diagnostics", "reuse"], rho=2.0, sample_id=sid)
+        assert res["diagnostics"] == oracles.diagnostics(ev, rho=2.0, block=64)
+        assert np.array_equal(
+            res["reuse"].counts, reuse_histogram(ev, 64, sid).counts
+        )
 
     def test_constant_only_trace_counts_one_block(self):
         # the Constant class counts as one footprint unit however it is sharded
@@ -184,34 +187,34 @@ class TestParallelEqualsSerialMore:
             ip=1, addr=np.arange(100), cls=LoadClass.CONSTANT, n_const=2
         )
         with ParallelEngine(workers=1, chunk_size=7) as eng:
-            assert eng.footprint(ev, 64) == footprint(ev, 64) == 1
-            assert eng.captures_survivals(ev, 64) == (0, 0)
-            by_cls = eng.footprint_by_class(ev, 64)
-        assert by_cls[LoadClass.CONSTANT] == 1
-        assert by_cls[LoadClass.STRIDED] == by_cls[LoadClass.IRREGULAR] == 0
+            res = _run(eng, ev, 64)
+        assert res["diagnostics"].F == oracles.footprint(ev, 64) == 1
+        assert res["captures"] == (0, 0)  # so F is the Constant unit alone
+        assert res["diagnostics"].F_str == res["diagnostics"].F_irr == 0
 
     def test_suppressed_constants_seen_across_shards(self):
         # only one shard carries the proxy record's n_const; merged F still +1
         ev = make_events(ip=1, addr=[1, 2, 3, 4], cls=LoadClass.STRIDED)
         ev["n_const"][3] = 5
         with ParallelEngine(workers=1, chunk_size=2) as eng:
-            assert eng.footprint(ev, 1) == footprint(ev, 1) == 5
-            d = eng.diagnostics(ev)
-        assert d == compute_diagnostics(ev)
+            d = _run(eng, ev, 1, ["diagnostics"])["diagnostics"]
+        assert d.F == oracles.footprint(ev, 1) == 5
+        assert d == oracles.diagnostics(ev)
         assert d.A_implied == 9
 
     def test_empty_trace(self):
         ev, _ = _trace(0)
         with ParallelEngine(workers=2, chunk_size=10) as eng:
-            assert eng.footprint(ev) == 0
-            assert eng.captures_survivals(ev) == (0, 0)
-            assert eng.diagnostics(ev) == compute_diagnostics(ev)
+            res = _run(eng, ev)
+        assert res["diagnostics"].F == 0
+        assert res["captures"] == (0, 0)
+        assert res["diagnostics"] == oracles.diagnostics(ev)
 
     def test_heatmap(self):
         ev, sid = _trace(3000, seed=17, const_frac=0.1)
         with ParallelEngine(workers=1, chunk_size=333) as eng:
             par = eng.heatmap(ev, 0, 1 << 17, sample_id=sid)
-        ser = access_heatmap(ev, 0, 1 << 17, sample_id=sid)
+        ser = oracles.heatmap(ev, 0, 1 << 17, sample_id=sid)
         assert np.array_equal(par.counts, ser.counts)
         assert np.array_equal(par.reuse, ser.reuse, equal_nan=True)
         assert np.array_equal(par.t_edges, ser.t_edges)
@@ -219,16 +222,17 @@ class TestParallelEqualsSerialMore:
     def test_code_windows(self):
         ev, _ = _trace(2000, seed=21)
         fn_names = {i: f"f{i}" for i in range(6)}
-        serial = code_windows(ev, rho=3.0, block=64, fn_names=fn_names)
         with ParallelEngine(workers=2) as eng:
-            par = eng.code_windows(ev, rho=3.0, block=64, fn_names=fn_names)
-        assert par == serial
+            par = _run(eng, ev, 64, ["windows"], rho=3.0, fn_names=fn_names)
+        assert par["windows"] == oracles.code_windows(
+            ev, rho=3.0, block=64, fn_names=fn_names
+        )
 
     def test_reuse_without_sample_ids_single_window(self):
         # no sample ids => one reuse window; sharding must not cut it
         ev, _ = _trace(2000, seed=23)
         with ParallelEngine(workers=1, chunk_size=100) as eng:
-            par = eng.reuse_histogram(ev, 64, None)
+            par = _run(eng, ev, 64, ["reuse"])["reuse"]
         ser = reuse_histogram(ev, 64, None)
         assert np.array_equal(par.counts, ser.counts) and par.mean == ser.mean
 
@@ -240,13 +244,12 @@ class TestParallelEqualsSerialMore:
     )
     @settings(max_examples=30, deadline=None)
     def test_property_diagnostics(self, n, chunk, block_exp, seed):
-        ev, sid = _trace(max(n, 1), seed=seed)[0][:n], None
+        ev = _trace(max(n, 1), seed=seed)[0][:n]
         block = 1 << block_exp
         with ParallelEngine(workers=1, chunk_size=chunk) as eng:
-            assert eng.diagnostics(ev, block=block) == compute_diagnostics(
-                ev, block=block
-            )
-            assert eng.captures_survivals(ev, block) == captures_survivals(ev, block)
+            res = _run(eng, ev, block)
+        assert res["diagnostics"] == oracles.diagnostics(ev, block=block)
+        assert res["captures"] == oracles.captures_survivals(ev, block)
 
 
 # -- pool behaviour over the real process boundary ----------------------------
@@ -257,15 +260,16 @@ class TestProcessPool:
         # large enough to clear the pool threshold with several shards
         ev, sid = _trace(40_000, seed=29, n_samples=64)
         with ParallelEngine(workers=2, chunk_size=5000) as eng:
-            d = eng.diagnostics(ev, rho=2.5, block=64, sample_id=sid)
-            h = eng.reuse_histogram(ev, 64, sid)
-        assert d == compute_diagnostics(ev, rho=2.5, block=64)
-        assert np.array_equal(h.counts, reuse_histogram(ev, 64, sid).counts)
+            res = _run(eng, ev, 64, ["diagnostics", "reuse"], rho=2.5, sample_id=sid)
+        assert res["diagnostics"] == oracles.diagnostics(ev, rho=2.5, block=64)
+        assert np.array_equal(
+            res["reuse"].counts, reuse_histogram(ev, 64, sid).counts
+        )
 
     def test_engine_stats_recorded(self):
         ev, sid = _trace(40_000, seed=31)
         with ParallelEngine(workers=2, chunk_size=5000) as eng:
-            eng.diagnostics(ev, sample_id=sid)
+            _run(eng, ev, 1, ["diagnostics"], sample_id=sid)
             stats = dict(eng.timers.stats)
         assert "compute" in stats and stats["compute"].items == 40_000
         assert "merge" in stats
@@ -296,18 +300,18 @@ class TestLRUCache:
     def test_engine_memoizes_by_window_id(self):
         ev, _ = _trace(500, seed=37)
         with ParallelEngine(workers=1) as eng:
-            d1 = eng.diagnostics(ev, rho=2.0, window_id=("w", 0))
+            d1 = _run(eng, ev, 1, ["diagnostics"], rho=2.0, window_id=("w", 0))
             before = eng.cache.misses
-            d2 = eng.diagnostics(ev, rho=2.0, window_id=("w", 0))
+            d2 = _run(eng, ev, 1, ["diagnostics"], rho=2.0, window_id=("w", 0))
             # same cached partial serves a different rho
-            d3 = eng.diagnostics(ev, rho=5.0, window_id=("w", 0))
+            d3 = _run(eng, ev, 1, ["diagnostics"], rho=5.0, window_id=("w", 0))
         assert d1 == d2
-        assert d3 == compute_diagnostics(ev, rho=5.0)
+        assert d3["diagnostics"] == oracles.diagnostics(ev, rho=5.0)
         assert eng.cache.misses == before and eng.cache.hits >= 2
 
     def test_metric_key_separates_entries(self):
         ev, _ = _trace(500, seed=41)
         with ParallelEngine(workers=1) as eng:
-            eng.diagnostics(ev, window_id=("w", 1))
-            eng.captures_survivals(ev, window_id=("w", 1))
+            _run(eng, ev, 1, ["diagnostics"], window_id=("w", 1))
+            _run(eng, ev, 1, ["captures"], window_id=("w", 1))
             assert len(eng.cache) == 2

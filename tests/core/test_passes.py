@@ -3,7 +3,7 @@
 The framework's contract: every registered pass, run through the fused
 executor (serial :func:`~repro.core.passes.fused_scan` or the
 :class:`~repro.core.parallel.ParallelEngine`), produces output
-**bit-identical** to its legacy serial function — for any worker count
+**bit-identical** to its reference in ``oracles.py`` — for any worker count
 and chunk size — while the trace is scanned once for the whole schedule
 and shared intermediates are computed once per chunk.
 """
@@ -15,11 +15,11 @@ import json
 import numpy as np
 import pytest
 
+import oracles
 from repro._util.rng import derive_rng
-from repro.core.diagnostics import compute_diagnostics
-from repro.core.heatmap import access_heatmap, heatmap_geometry
+from repro.core.heatmap import heatmap_request
 from repro.core.hotspot import find_hotspots, roi_from_hotspots
-from repro.core.metrics import captures_survivals, footprint, footprint_by_class
+from repro.core.metrics import footprint, footprint_by_class
 from repro.core.parallel import ParallelEngine, plan_shards
 from repro.core.passes import (
     AnalysisPass,
@@ -63,23 +63,6 @@ def _chunks(ev, sid, chunk):
         yield ev[lo:hi], sid[lo:hi]
 
 
-def _heatmap_request(ev, sid, base=0, size=1 << 17, n_pages=64, n_bins=64):
-    nc = ev[ev["cls"] != int(LoadClass.CONSTANT)]
-    page_size, t_edges = heatmap_geometry(nc, size, n_pages, n_bins)
-    return (
-        "heatmap",
-        {
-            "base": base,
-            "size": size,
-            "page_size": page_size,
-            "t_edges": t_edges,
-            "n_pages": n_pages,
-            "n_bins": n_bins,
-            "access_block": 64,
-        },
-    )
-
-
 def _all_requests(ev, sid):
     """One request per registered built-in pass."""
     return [
@@ -88,14 +71,14 @@ def _all_requests(ev, sid):
         ("reuse", {"block": 64}),
         "hotspot",
         "roi",
-        _heatmap_request(ev, sid),
+        heatmap_request(ev, 0, 1 << 17),
     ]
 
 
 def _assert_matches_serial(results, ev, sid, rho=1.0):
-    """Every pass result equals its legacy serial function, bit for bit."""
-    assert results["diagnostics"] == compute_diagnostics(ev, rho=rho, block=64)
-    assert results["captures"] == captures_survivals(ev, 64)
+    """Every pass result equals its reference computation, bit for bit."""
+    assert results["diagnostics"] == oracles.diagnostics(ev, rho=rho, block=64)
+    assert results["captures"] == oracles.captures_survivals(ev, 64)
     ser_hist = reuse_histogram(ev, 64, sid)
     assert np.array_equal(results["reuse"].counts, ser_hist.counts)
     assert results["reuse"].d_sum == ser_hist.d_sum
@@ -104,7 +87,7 @@ def _assert_matches_serial(results, ev, sid, rho=1.0):
     ser_hot = find_hotspots(ev, FN_NAMES)
     assert results["hotspot"] == ser_hot
     assert results["roi"] == roi_from_hotspots(ser_hot, ev)
-    ser_heat = access_heatmap(ev, 0, 1 << 17, sample_id=sid)
+    ser_heat = oracles.heatmap(ev, 0, 1 << 17, sample_id=sid)
     assert np.array_equal(results["heatmap"].counts, ser_heat.counts)
     assert np.array_equal(results["heatmap"].reuse, ser_heat.reuse, equal_nan=True)
 
@@ -144,13 +127,18 @@ class TestFusedEqualsSerial:
     def test_rho_reaches_finalize(self):
         ev, sid = _trace(1000, seed=9)
         results = fused_scan(_chunks(ev, sid, 100), ["diagnostics"], rho=4.25)
-        assert results["diagnostics"] == compute_diagnostics(ev, rho=4.25, block=1)
+        assert results["diagnostics"] == oracles.diagnostics(ev, rho=4.25, block=1)
 
     def test_footprint_helpers_still_match(self):
         ev, sid = _trace(2000, seed=11)
+        by_class = oracles.footprint_by_class(ev, 64)
+        assert footprint(ev, 64) == oracles.footprint(ev, 64)
+        assert footprint_by_class(ev, 64) == by_class
         with ParallelEngine(workers=1, chunk_size=123) as eng:
-            assert eng.footprint(ev, 64, sid) == footprint(ev, 64)
-            assert eng.footprint_by_class(ev, 64, sid) == footprint_by_class(ev, 64)
+            d = eng.run_passes(ev, [("diagnostics", {"block": 64})], sample_id=sid)
+        assert d["diagnostics"].F == oracles.footprint(ev, 64)
+        assert d["diagnostics"].F_str == by_class[LoadClass.STRIDED]
+        assert d["diagnostics"].F_irr == by_class[LoadClass.IRREGULAR]
 
 
 class TestEdgeCases:
@@ -162,10 +150,10 @@ class TestEdgeCases:
             ("reuse", {"block": 64}),
             "hotspot",
             "roi",
-            _heatmap_request(ev, sid),
+            heatmap_request(ev, 0, 1 << 17),
         ]
         results = fused_scan(iter([]), requests)
-        assert results["diagnostics"] == compute_diagnostics(ev)
+        assert results["diagnostics"] == oracles.diagnostics(ev)
         assert results["captures"] == (0, 0)
         assert results["hotspot"] == []
         assert results["roi"].ranges == []
@@ -188,7 +176,7 @@ class TestEdgeCases:
                 sample_id=sid,
                 fn_names=FN_NAMES,
             )
-        assert results["diagnostics"] == compute_diagnostics(ev, block=64)
+        assert results["diagnostics"] == oracles.diagnostics(ev, block=64)
         ser = reuse_histogram(ev, 64, sid)
         assert np.array_equal(results["reuse"].counts, ser.counts)
         assert results["hotspot"] == find_hotspots(ev, FN_NAMES)
@@ -198,8 +186,8 @@ class TestEdgeCases:
         results = fused_scan(
             _chunks(ev, sid, 4), ["diagnostics", "captures", "hotspot"]
         )
-        assert results["diagnostics"] == compute_diagnostics(ev)
-        assert results["captures"] == captures_survivals(ev, 1)
+        assert results["diagnostics"] == oracles.diagnostics(ev)
+        assert results["captures"] == oracles.captures_survivals(ev, 1)
 
     def test_reuse_without_samples_runs_whole(self):
         # no sample ids => the reuse window spans the trace; the engine
@@ -383,7 +371,7 @@ class TestSingleScan:
         # 4 metrics over the stream, yet each chunk read and scanned once
         assert len(reads) == len(scans) > 1
         assert all(r["n_passes"] == 4 for r in scans)
-        assert res.diagnostics == compute_diagnostics(ev, rho=res.rho, block=64)
+        assert res.diagnostics == oracles.diagnostics(ev, rho=res.rho, block=64)
         assert res.pass_results["hotspot"] == find_hotspots(ev)
 
     def test_cache_serves_repeat_queries_without_rescan(self):
@@ -438,7 +426,7 @@ class TestCustomPass:
                     ev, ["strided-share", "diagnostics"], sample_id=sid
                 )
             assert fused["strided-share"] == expected
-            assert fused["diagnostics"] == compute_diagnostics(ev)
+            assert fused["diagnostics"] == oracles.diagnostics(ev)
         finally:
             unregister_pass("strided-share")
 

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+import oracles
 from repro.core.windows import code_windows, trace_window_metrics, unique_per_group
 from repro.trace.event import make_events
 
@@ -80,3 +82,24 @@ class TestCodeWindows:
         ev = make_events(ip=1, addr=[1, 2], cls=2, fn=0)
         out = code_windows(ev, rho=5.0)
         assert out["fn0"].A_est == 10.0
+
+
+@given(
+    fns=st.lists(st.integers(0, 5), min_size=0, max_size=150),
+    block=st.sampled_from([1, 64]),
+    rho=st.floats(1.0, 100.0),
+)
+def test_code_windows_match_oracle(fns, block, rho):
+    """Per-function windows equal the reference loop, bit for bit."""
+    n = len(fns)
+    ev = make_events(
+        ip=1,
+        addr=(np.arange(n, dtype=np.uint64) * 24) % 512,
+        cls=np.arange(n) % 3,
+        n_const=np.arange(n) % 2,
+        fn=fns,
+    )
+    names = {0: "main", 3: "main"}  # a name collision: the highest id wins
+    assert code_windows(ev, rho=rho, block=block, fn_names=names) == (
+        oracles.code_windows(ev, rho=rho, block=block, fn_names=names)
+    )

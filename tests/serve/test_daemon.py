@@ -236,6 +236,33 @@ def test_close_then_reopen_rehydrates_the_archive(
         c.close_session("s")
 
 
+def test_rejected_append_does_not_poison_the_session(
+    tmp_path, make_rng, serve_harness, build_archive, capsys
+):
+    """A chunk with an out-of-range load class is rejected inside the
+    worker; the session must keep exactly its good chunks, so the next
+    good append plus a query equals the offline report over those."""
+    src = tmp_path / "src.npz"
+    ev, sid, meta = build_archive(src, make_rng(), n_samples=6, per_sample=200)
+    bad = ev[600:800].copy()
+    bad["cls"][::7] = 5
+    _, port = serve_harness()
+    with ServeClient(port=port) as c:
+        c.open("s", meta)
+        c.append("s", ev[:600], sid[:600])
+        _query_when_ready(c, "s", 1)
+        c.append("s", bad, sid[600:800])
+        c.append("s", ev[600:], sid[600:])
+        info, live_text = _query_when_ready(c, "s", 2)
+        c.close_session("s")
+    assert info["n_events"] == len(ev)
+    good = tmp_path / "good.npz"
+    write_trace(good, ev, meta, sid)
+    rc = cli_main(["report", str(good), "--json", "--passes", ",".join(PASSES)])
+    assert rc == 0
+    assert capsys.readouterr().out == live_text + "\n"
+
+
 def test_protocol_errors_surface_as_serve_errors(serve_harness):
     _, port = serve_harness()
     one_event = make_events(

@@ -1,5 +1,7 @@
 """Tests for the on-disk trace format."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -173,6 +175,76 @@ class TestTraceFormatError:
 
     def test_is_an_exception_subclass(self):
         assert issubclass(TraceFormatError, Exception)
+
+
+def _crafted(path, n, bad_from=0):
+    """An archive with valid checksums whose every 7th record from
+    ``bad_from`` on carries the out-of-range load-class code 5 (written
+    around write_trace, which refuses such records)."""
+    from repro.trace.tracefile import _health_record
+
+    ev = make_events(ip=1, addr=np.arange(n) * 8, cls=np.arange(n) % 3)
+    ev["cls"][bad_from::7] = 5
+    sid = (np.arange(n) // 100).astype(np.int32)
+    meta = TraceMeta(module="crafted", period=1000, buffer_capacity=100)
+    np.savez_compressed(
+        path,
+        meta=np.frombuffer(meta.to_json().encode(), dtype=np.uint8),
+        health=np.frombuffer(
+            json.dumps(_health_record(ev, sid)).encode(), dtype=np.uint8
+        ),
+        events=ev,
+        sample_id=sid,
+    )
+    return path
+
+
+class TestLoadClassCodes:
+    def test_write_rejects_out_of_range_class(self, tmp_path, events):
+        events["cls"][1] = 5
+        with pytest.raises(ValueError, match="load-class code 5"):
+            write_trace(tmp_path / "t.npz", events, TraceMeta())
+        assert not (tmp_path / "t.npz").exists()
+
+    def test_read_trace_raises_typed_error(self, tmp_path):
+        path = _crafted(tmp_path / "bad.npz", 5000)
+        with pytest.raises(TraceFormatError, match="load-class code 5") as err:
+            read_trace(path)
+        assert err.value.key == "events"
+
+    def test_iter_chunks_raises_typed_error(self, tmp_path):
+        path = _crafted(tmp_path / "bad.npz", 5000, bad_from=3000)
+        chunks = iter_trace_chunks(path, chunk_size=1000)
+        assert len(next(chunks)[0]) > 0  # chunks before the bad record stream
+        with pytest.raises(TraceFormatError) as err:
+            list(chunks)
+        assert err.value.key == "events"
+
+    def test_recovery_keeps_the_chunks_before_the_bad_code(self, tmp_path, capsys):
+        from repro.cli import main as cli_main
+        from repro.trace.health import KIND_SCHEMA, validate
+        from repro.trace.loader import load_trace_collection
+        from repro.trace.tracefile import HEALTH_CHUNK_EVENTS
+
+        n = HEALTH_CHUNK_EVENTS + 5000
+        path = _crafted(tmp_path / "bad.npz", n, bad_from=HEALTH_CHUNK_EVENTS + 6)
+        report = validate(path)
+        assert [(f.kind, f.chunk) for f in report.findings] == [(KIND_SCHEMA, 1)]
+        assert report.n_events_ok == HEALTH_CHUNK_EVENTS
+        loaded = load_trace_collection(path)
+        assert not loaded.clean
+        assert len(loaded.collection.events) == HEALTH_CHUNK_EVENTS
+        assert cli_main(["validate-trace", str(path)]) == 1
+        capsys.readouterr()
+        # the what-if sweep used to die reshaping per-class tallies
+        assert cli_main(["report", str(path), "--passes", "cache_sweep"]) == 0
+        capsys.readouterr()
+        assert cli_main(["report", str(path), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["n_events"] == HEALTH_CHUNK_EVENTS
+        d = payload["passes"]["diagnostics"]
+        # every counted block is Strided or Irregular (+1 Constant unit)
+        assert d["F"] == d["F_str"] + d["F_irr"] + 1
 
 
 class TestHealthMember:
