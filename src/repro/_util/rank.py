@@ -19,15 +19,17 @@ which each level is a handful of numpy array operations:
   as ``value + pair_id * K`` (``K`` larger than the value range,
   ``pair_id`` a cumulative counter that restarts runs at group
   boundaries) makes one stable ``argsort`` per level *be* the merge of
-  every (left, right) run pair simultaneously — stable radix sort on
-  int64 keys, no comparisons in Python;
+  every (left, right) run pair simultaneously, with no comparisons in
+  Python. numpy radix-sorts only integers of 16 bits or fewer, so these
+  int64 keys go through timsort, whose run detection finds the sorted
+  runs of width ``w`` and merges them pairwise;
 * stability puts tied left-run elements before right-run elements, so
   a right-run element's merged position minus its within-run index is
   exactly "how many left-sibling elements are <= me" — the count the
   rank needs — for free.
 
 Levels stop at the longest group, so the cost is
-O(n log(max group length)) radix-sort work. All arithmetic is int64
+O(log(max group length)) stable sorts of n int64 keys. All arithmetic is int64
 and exact: results are bit-identical to the reference Fenwick loop for
 any input.
 """

@@ -59,6 +59,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro._util.timers import StageTimers
 from repro.core.confidence import code_window_confidence
 from repro.core.interval_tree import access_interval_metrics
 from repro.core.parallel import ParallelEngine
@@ -554,8 +555,15 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def _report_tail(args, engine, journal, metrics) -> None:
     """Shared ``report`` epilogue: stats, journal/metrics export, shutdown."""
     if args.stats:
+        # pass:<name> entries are per-pass seconds summed over every
+        # scanning process, so they never share a table with wall stages
+        stats = engine.timers.stats
+        wall = {n: s for n, s in stats.items() if not n.startswith("pass:")}
+        worker = {n: s for n, s in stats.items() if n.startswith("pass:")}
         print()
-        print(engine.timers.report(title="analysis stage timings"))
+        print(StageTimers(wall).report(title="analysis stage timings"))
+        if worker:
+            print(StageTimers(worker).report(title="worker CPU (summed over processes)"))
         print(
             f"  cache: {engine.cache.hits} hits / {engine.cache.misses} misses "
             f"({len(engine.cache)} entries)"

@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.core.diagnostics import FootprintDiagnostics, compute_diagnostics
 from repro.core.parallel import ParallelEngine
-from repro.core.passes import DiagnosticsPartial
+from repro.core.passes import ChunkContext, DiagnosticsPartial, function_partials
 from repro.trace.collector import CollectionResult
 from repro.trace.event import EVENT_DTYPE
 
@@ -138,17 +138,17 @@ class ExecutionIntervalTree:
                 )
                 children.append(node)
             return children
-        # function leaf nodes
-        for fid in np.unique(sample["fn"]):
-            part = sample[sample["fn"] == fid]
+        # function leaf nodes: the sample grouped by function id once
+        t = sample["t"]
+        for fid, rows, partial in function_partials(ChunkContext(sample, None), block):
             children.append(
                 IntervalNode(
                     level=-1,
-                    t_start=int(part["t"][0]),
-                    t_end=int(part["t"][-1]) + 1,
-                    diagnostics=compute_diagnostics(part, rho=1.0, block=block),
+                    t_start=int(t[rows[0]]),
+                    t_end=int(t[rows[-1]]) + 1,
+                    diagnostics=partial.finalize(),
                     exact=True,
-                    function=fn_names.get(int(fid), f"fn{int(fid)}"),
+                    function=fn_names.get(fid, f"fn{fid}"),
                 )
             )
         return children

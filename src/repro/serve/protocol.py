@@ -40,7 +40,7 @@ import struct
 
 import numpy as np
 
-from repro.trace.event import EVENT_DTYPE
+from repro.trace.event import EVENT_DTYPE, check_load_classes
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -174,7 +174,13 @@ def encode_chunk(
 
 
 def decode_chunk(header: dict, payload: bytes) -> tuple[np.ndarray, np.ndarray | None]:
-    """Inverse of :func:`encode_chunk`; validates the payload geometry."""
+    """Inverse of :func:`encode_chunk`; validates the payload geometry.
+
+    A record whose ``cls`` is no :class:`~repro.trace.event.LoadClass`
+    code is rejected here, before the chunk is queued for a shard
+    worker, so the append gets an error reply instead of being dropped
+    inside the worker.
+    """
     try:
         n_events = int(header["n_events"])
         n_sid = header.get("n_sid")
@@ -192,6 +198,10 @@ def decode_chunk(header: dict, payload: bytes) -> tuple[np.ndarray, np.ndarray |
             f"{ev_bytes + sid_bytes}"
         )
     events = np.frombuffer(payload[:ev_bytes], dtype=EVENT_DTYPE)
+    try:
+        check_load_classes(events)
+    except ValueError as e:
+        raise ProtocolError(f"append rejected: {e}") from e
     sample_id = (
         None
         if n_sid is None

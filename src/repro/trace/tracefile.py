@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 import os
+import time
 import zipfile
 import zlib
 from dataclasses import asdict, dataclass, field
@@ -271,7 +272,8 @@ class PrefixSkip:
 
     Skipping emits one ``chunk-skip`` journal line (not ``chunk-read``
     lines), so a run journal distinguishes rescanned chunks from
-    verified-and-skipped ones.
+    verified-and-skipped ones; its ``seconds`` is the inflate + CRC time
+    of the whole skipped prefix.
     """
 
     n_events: int
@@ -337,6 +339,7 @@ def _skip_prefix(
     step = skip.chunk_events
     if step <= 0:
         raise ValueError(f"chunk_events must be > 0, got {step}")
+    t0 = time.perf_counter()
     skip.events_crc = []
     skip.sample_id_crc = [] if sid_stream is not None else None
     remaining = skip.n_events
@@ -358,7 +361,11 @@ def _skip_prefix(
     if metrics is not None:
         metrics.counter("trace.events_skipped").inc(skip.n_events)
     if journal is not None:
-        journal.emit("chunk-skip", n_events=skip.n_events)
+        journal.emit(
+            "chunk-skip",
+            n_events=skip.n_events,
+            seconds=time.perf_counter() - t0,
+        )
 
 
 def iter_trace_chunks(
@@ -386,7 +393,8 @@ def iter_trace_chunks(
     ``trace.chunks_read`` / ``trace.events_read`` /
     ``trace.bytes_read``; a :class:`~repro.obs.journal.RunJournal` as
     ``journal`` appends one ``chunk-read`` line per chunk (with
-    ``n_events`` and ``nbytes``), so the journal proves how many times
+    ``n_events``, ``nbytes`` and ``seconds``, the inflate + CRC time
+    of that chunk's reads), so the journal proves how many times
     the trace was actually read — a fused multi-pass analysis shows one
     line per chunk, not chunks x passes — and how many bytes each
     zero-copy publish will move (see ``docs/performance.md``).
@@ -419,7 +427,10 @@ def iter_trace_chunks(
             carry_sid = (
                 np.empty(0, dtype=sid_stream.dtype) if sid_stream is not None else None
             )
+            t0 = None  # start of the reads behind the next yielded chunk
             while True:
+                if t0 is None:
+                    t0 = time.perf_counter()
                 ev = ev_stream.read(chunk_size)
                 sid = sid_stream.read(chunk_size) if sid_stream is not None else None
                 done = len(ev) < chunk_size
@@ -447,7 +458,13 @@ def iter_trace_chunks(
                     metrics.counter("trace.events_read").inc(len(ev))
                     metrics.counter("trace.bytes_read").inc(nbytes)
                 if journal is not None:
-                    journal.emit("chunk-read", n_events=len(ev), nbytes=nbytes)
+                    journal.emit(
+                        "chunk-read",
+                        n_events=len(ev),
+                        nbytes=nbytes,
+                        seconds=time.perf_counter() - t0,
+                    )
+                t0 = None
                 yield ev, sid
                 if done:
                     break

@@ -245,6 +245,7 @@ class TestIncrementalAppend:
         assert stage["skipped_events"] == n0
         skips = [r for r in lines if r.get("event") == "chunk-skip"]
         assert [r["n_events"] for r in skips] == [n0]
+        assert skips[0]["seconds"] >= 0
         # chunk-read lines after the skip cover exactly the appended tail
         i_skip = max(i for i, r in enumerate(lines) if r.get("event") == "chunk-skip")
         tail_reads = [

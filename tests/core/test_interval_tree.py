@@ -131,6 +131,34 @@ class TestBuildMatchesOracle:
             _check_below(leaf.children, sample, intra_splits, block)
 
 
+@pytest.mark.parametrize("cap", [17, 257, 5000])
+@pytest.mark.parametrize("block", [1, 64])
+def test_function_leaves_on_interleaved_functions(cap, block):
+    """Function leaves group each sample by fn once; on sparse, unsorted,
+    interleaved ids every leaf equals the oracle over that function's
+    records, in ascending id, spanning its first to its last record."""
+    rng = derive_rng(cap, "interval-tree-interleaved")
+    n = 30_000  # several samples even at cap 5000
+    fn_ids = np.array([907, 3, 2**32 - 2, 41, 0], dtype=np.uint32)
+    ev = make_events(
+        ip=1,
+        addr=rng.integers(0, 1 << 12, n),
+        cls=rng.integers(0, 3, n).astype(np.uint8),
+        n_const=rng.choice([0, 0, 2], n).astype(np.uint16),
+        fn=fn_ids[rng.permutation(np.arange(n) % len(fn_ids))],
+    )
+    cfg = SamplingConfig(period=2 * cap + 7, buffer_capacity=cap, fill_jitter=0.3)
+    col = collect_sampled_trace(ev, config=cfg)
+    tree = ExecutionIntervalTree.build(col, rho=2.0, block=block)
+    samples = [s for s in col.samples() if len(s)]
+    assert len(samples) == len(tree.samples) > 1
+    for leaf, sample in zip(tree.samples, samples):
+        _check_below(leaf.children, sample, 0, block)
+        for child, fid in zip(leaf.children, np.unique(sample["fn"])):
+            t = sample["t"][sample["fn"] == fid]
+            assert (child.t_start, child.t_end) == (int(t[0]), int(t[-1]) + 1)
+
+
 class TestZoom:
     def test_zoom_path_descends(self):
         col = _collection()

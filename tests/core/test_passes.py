@@ -370,6 +370,8 @@ class TestSingleScan:
         scans = [r for r in recs if r["event"] == "shard-analyzed"]
         # 4 metrics over the stream, yet each chunk read and scanned once
         assert len(reads) == len(scans) > 1
+        # each read line carries its inflate + check time
+        assert all(r["seconds"] >= 0 for r in reads)
         assert all(r["n_passes"] == 4 for r in scans)
         assert res.diagnostics == oracles.diagnostics(ev, rho=res.rho, block=64)
         assert res.pass_results["hotspot"] == find_hotspots(ev)

@@ -5,8 +5,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
+from repro._util.rng import derive_rng
+from repro.core.parallel import ParallelEngine
 from repro.core.windows import code_windows, trace_window_metrics, unique_per_group
+from repro.obs.metrics import MetricsRegistry
 from repro.trace.event import make_events
+
+#: sparse, unsorted function ids: 0 and a near-2**32 id included
+FN_IDS = np.array([907, 3, 2**32 - 2, 41, 0, 12], dtype=np.uint32)
 
 
 class TestUniquePerGroup:
@@ -103,3 +109,47 @@ def test_code_windows_match_oracle(fns, block, rho):
     assert code_windows(ev, rho=rho, block=block, fn_names=names) == (
         oracles.code_windows(ev, rho=rho, block=block, fn_names=names)
     )
+
+
+def _interleaved_trace(n=20_000, seed=0):
+    """Function ids that interleave, recur out of order and skip chunks.
+
+    Most records cycle through ``FN_IDS`` in a shuffled order, one id at
+    a time; a late burst belongs to one id that appears nowhere else, so
+    some chunks hold functions others lack.
+    """
+    rng = derive_rng(seed, "interleaved-windows")
+    fn = FN_IDS[rng.permutation(np.arange(n) % (len(FN_IDS) - 1))]
+    fn[3 * n // 4 : 3 * n // 4 + 50] = FN_IDS[-1]
+    ev = make_events(
+        ip=rng.integers(0x400000, 0x400100, n),
+        addr=rng.integers(0, 1 << 14, n),
+        cls=rng.choice([0, 1, 2], n, p=[0.2, 0.4, 0.4]).astype(np.uint8),
+        n_const=rng.choice([0, 0, 3], n).astype(np.uint16),
+        fn=fn,
+    )
+    sid = (np.arange(n) // 97).astype(np.int32)
+    return ev, sid
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+@pytest.mark.parametrize("chunk", [17, 257, 5000])
+@pytest.mark.parametrize("block", [1, 64])
+def test_windows_pass_on_interleaved_functions(workers, chunk, block):
+    """The grouped windows pass equals the per-function oracle for any
+    worker count and chunk size, on unsorted, non-contiguous fn ids.
+    20K events: above the engine's inline threshold, so workers=4 runs
+    the pool."""
+    ev, sid = _interleaved_trace(seed=workers * 31 + chunk)
+    names = {int(FN_IDS[0]): "main", int(FN_IDS[1]): "main", 41: "solve"}
+    reg = MetricsRegistry()
+    with ParallelEngine(workers=workers, chunk_size=chunk, metrics=reg) as eng:
+        got = eng.run_passes(
+            ev, [("windows", {"block": block})], sample_id=sid, rho=3.5,
+            fn_names=names,
+        )["windows"]
+    pooled = reg.as_dict()["counters"].get("parallel.runs_pooled", {}).get("value", 0)
+    assert pooled == (1 if workers > 1 and chunk < len(ev) else 0)
+    want = oracles.code_windows(ev, rho=3.5, block=block, fn_names=names)
+    assert list(got) == list(want)
+    assert got == want

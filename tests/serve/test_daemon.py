@@ -239,9 +239,10 @@ def test_close_then_reopen_rehydrates_the_archive(
 def test_rejected_append_does_not_poison_the_session(
     tmp_path, make_rng, serve_harness, build_archive, capsys
 ):
-    """A chunk with an out-of-range load class is rejected inside the
-    worker; the session must keep exactly its good chunks, so the next
-    good append plus a query equals the offline report over those."""
+    """A chunk with an out-of-range load class is rejected at the
+    decoder with an error reply; the daemon keeps serving and the
+    session keeps exactly its good chunks, so the next good append plus
+    a query equals the offline report over those."""
     src = tmp_path / "src.npz"
     ev, sid, meta = build_archive(src, make_rng(), n_samples=6, per_sample=200)
     bad = ev[600:800].copy()
@@ -251,7 +252,9 @@ def test_rejected_append_does_not_poison_the_session(
         c.open("s", meta)
         c.append("s", ev[:600], sid[:600])
         _query_when_ready(c, "s", 1)
-        c.append("s", bad, sid[600:800])
+        with pytest.raises(ServeError, match="record 0 has load-class code 5"):
+            c.append("s", bad, sid[600:800])
+        assert c.ping()["type"] == "ok"
         c.append("s", ev[600:], sid[600:])
         info, live_text = _query_when_ready(c, "s", 2)
         c.close_session("s")

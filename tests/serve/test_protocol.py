@@ -132,3 +132,10 @@ class TestChunkCodec:
     def test_negative_event_count_rejected(self):
         with pytest.raises(ProtocolError):
             decode_chunk({"type": "append", "n_events": -1, "n_sid": None}, b"")
+
+    def test_out_of_range_load_class_rejected(self, rng):
+        ev = _events(rng, 10).copy()
+        ev["cls"][6] = 7
+        fields, payload = encode_chunk(ev, np.arange(10, dtype=np.int32))
+        with pytest.raises(ProtocolError, match="record 6 has load-class code 7"):
+            decode_chunk({"type": "append", **fields}, payload)

@@ -243,6 +243,22 @@ class TestObservability:
         back = MetricsRegistry.from_dict(data["metrics"])
         assert back.as_dict() == data["metrics"]
 
+    def test_stats_keeps_worker_seconds_out_of_wall_table(self, trace_file, capsys):
+        """Per-pass seconds are summed over processes, so ``--stats``
+        prints them under their own heading, never among wall stages."""
+        rc = main(["report", str(trace_file), "--workers", "2", "--stats"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        wall_head = out.index("== analysis stage timings ==")
+        cpu_head = out.index("== worker CPU (summed over processes) ==")
+        assert wall_head < cpu_head
+        wall = out[wall_head:cpu_head]
+        worker = out[cpu_head:].split("  cache:")[0]
+        assert "compute" in wall and "pass:" not in wall
+        rows = [line.split()[0] for line in worker.splitlines()[1:]]
+        assert rows and all(r.startswith("pass:") for r in rows)
+        assert "pass:diagnostics" in rows
+
     def test_metrics_without_journal(self, trace_file, tmp_path):
         metrics = tmp_path / "m.json"
         assert main(["report", str(trace_file), "--metrics", str(metrics)]) == 0
