@@ -33,70 +33,27 @@ Quickstart::
     print(result.diagnostics)
 """
 
-from repro.core import (
-    AnalysisConfig,
-    FootprintDiagnostics,
-    MemGaze,
-    MemGazeResult,
-    ZoomConfig,
-    access_heatmap,
-    access_interval_metrics,
-    code_windows,
-    compute_diagnostics,
-    footprint,
-    footprint_growth,
-    location_zoom,
-    mape,
-    mean_reuse_distance,
-    reuse_distances,
-    reuse_intervals,
-    window_histogram,
+from repro._lazy import attach
+
+# name -> defining module, imported on first access (PEP 562)
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "repro.core": [
+            "AnalysisConfig", "FootprintDiagnostics", "MemGaze", "MemGazeResult", "ZoomConfig",
+            "access_heatmap", "access_interval_metrics", "code_windows", "compute_diagnostics",
+            "footprint", "footprint_growth", "location_zoom", "mape", "mean_reuse_distance",
+            "reuse_distances", "reuse_intervals", "window_histogram",
+        ],
+        "repro.trace": [
+            "LoadClass", "OverheadModel", "PTMode", "SamplingConfig", "collect_full_trace",
+            "collect_sampled_trace", "compression_ratio", "read_trace", "sample_ratio",
+            "write_trace",
+        ],
+        "repro.simmem": ["AccessRecorder", "AddressSpace"],
+    },
 )
-from repro.trace import (
-    LoadClass,
-    OverheadModel,
-    PTMode,
-    SamplingConfig,
-    collect_full_trace,
-    collect_sampled_trace,
-    compression_ratio,
-    read_trace,
-    sample_ratio,
-    write_trace,
-)
-from repro.simmem import AccessRecorder, AddressSpace
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnalysisConfig",
-    "FootprintDiagnostics",
-    "MemGaze",
-    "MemGazeResult",
-    "ZoomConfig",
-    "access_heatmap",
-    "access_interval_metrics",
-    "code_windows",
-    "compute_diagnostics",
-    "footprint",
-    "footprint_growth",
-    "location_zoom",
-    "mape",
-    "mean_reuse_distance",
-    "reuse_distances",
-    "reuse_intervals",
-    "window_histogram",
-    "LoadClass",
-    "OverheadModel",
-    "PTMode",
-    "SamplingConfig",
-    "collect_full_trace",
-    "collect_sampled_trace",
-    "compression_ratio",
-    "read_trace",
-    "sample_ratio",
-    "write_trace",
-    "AccessRecorder",
-    "AddressSpace",
-    "__version__",
-]
+__all__ += ["__version__"]

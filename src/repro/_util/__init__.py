@@ -6,25 +6,17 @@ plumbing, wall-clock timers, and plain-text table rendering) that the
 substrate and analysis layers build on.
 """
 
-from repro._util.fenwick import FenwickTree
-from repro._util.lru import LRUCache
-from repro._util.rng import derive_rng, spawn_rngs
-from repro._util.tables import format_table
-from repro._util.timers import Timer
-from repro._util.validate import (
-    check_fraction,
-    check_positive,
-    check_power_of_two,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "FenwickTree",
-    "LRUCache",
-    "derive_rng",
-    "spawn_rngs",
-    "format_table",
-    "Timer",
-    "check_fraction",
-    "check_positive",
-    "check_power_of_two",
-]
+# name -> defining module, imported on first access (PEP 562)
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "repro._util.fenwick": ["FenwickTree"],
+        "repro._util.lru": ["LRUCache"],
+        "repro._util.rng": ["derive_rng", "spawn_rngs"],
+        "repro._util.tables": ["format_table"],
+        "repro._util.timers": ["Timer"],
+        "repro._util.validate": ["check_fraction", "check_positive", "check_power_of_two"],
+    },
+)

@@ -17,10 +17,10 @@ import zlib
 
 import numpy as np
 
-__all__ = ["crc32_chunks", "crc32_of"]
+__all__ = ["byte_view", "crc32_chunks", "crc32_of"]
 
 
-def _byte_view(arr: np.ndarray) -> memoryview:
+def byte_view(arr: np.ndarray) -> memoryview:
     """Flat ``uint8`` view of a contiguous array's raw bytes (no copy)."""
     if not arr.flags.c_contiguous:
         # slices of archive members are always contiguous; anything else
@@ -31,7 +31,7 @@ def _byte_view(arr: np.ndarray) -> memoryview:
 
 def crc32_of(arr: np.ndarray) -> int:
     """CRC32 of one array's raw bytes, equal to ``crc32(arr.tobytes())``."""
-    return zlib.crc32(_byte_view(arr))
+    return zlib.crc32(byte_view(arr))
 
 
 def crc32_chunks(arr: np.ndarray, step: int, *, at_least_one: bool = False) -> list[int]:
@@ -48,7 +48,7 @@ def crc32_chunks(arr: np.ndarray, step: int, *, at_least_one: bool = False) -> l
     n = len(arr)
     if n == 0:
         return [zlib.crc32(b"")] if at_least_one else []
-    buf = _byte_view(arr)
+    buf = byte_view(arr)
     item = arr.dtype.itemsize
     return [
         zlib.crc32(buf[lo * item : min(lo + step, n) * item])

@@ -28,146 +28,50 @@ sampled, compressed traces:
 * :mod:`repro.core.pipeline` — the end-to-end MemGaze driver.
 """
 
-from repro.core.metrics import (
-    block_ids,
-    captures_survivals,
-    estimated_footprint,
-    footprint,
-    footprint_by_class,
-    nonconstant,
-)
-from repro.core.growth import footprint_growth
-from repro.core.reuse import (
-    ReuseHistogram,
-    inter_sample_distance,
-    max_reuse_distance,
-    mean_reuse_distance,
-    region_reuse,
-    reuse_distances,
-    reuse_histogram,
-    reuse_intervals,
-)
-from repro.core.parallel import (
-    LRUCache,
-    ParallelEngine,
-    plan_shards,
-)
-from repro.core.passes import (
-    AnalysisPass,
-    CapturesPartial,
-    ChunkContext,
-    DiagnosticsPartial,
-    RunContext,
-    UnknownPassError,
-    fused_scan,
-    get_pass,
-    list_passes,
-    register_pass,
-    schedule_passes,
-)
-from repro.core.diagnostics import FootprintDiagnostics, compute_diagnostics
-from repro.core.windows import code_windows, trace_window_metrics
-from repro.core.histograms import mape, window_histogram
-from repro.core.interval_tree import (
-    ExecutionIntervalTree,
-    IntervalNode,
-    access_interval_metrics,
-)
-from repro.core.zoom import ZoomConfig, ZoomRegion, location_zoom
-from repro.core.heatmap import HeatmapResult, access_heatmap
-from repro.core.report import (
-    format_quantity,
-    render_function_table,
-    render_interval_table,
-    render_region_table,
-)
-from repro.core.pipeline import AnalysisConfig, MemGaze, MemGazeResult
-from repro.core.hotspot import Hotspot, find_hotspots, roi_from_hotspots
-from repro.core.confidence import (
-    WindowConfidence,
-    code_window_confidence,
-    flag_undersampled,
-)
-from repro.core.workingset import WorkingSetPoint, working_set_curve
-from repro.core.phases import Phase, detect_phases
-from repro.core.cachesim import (
-    CacheConfig,
-    CacheStats,
-    HierarchyConfig,
-    HierarchyStats,
-    simulate_cache,
-    simulate_hierarchy,
-)
-from repro.core.diff import FunctionDelta, TraceDiff, diff_traces
+from repro._lazy import attach
 
-__all__ = [
-    "block_ids",
-    "captures_survivals",
-    "estimated_footprint",
-    "footprint",
-    "footprint_by_class",
-    "nonconstant",
-    "footprint_growth",
-    "inter_sample_distance",
-    "max_reuse_distance",
-    "mean_reuse_distance",
-    "region_reuse",
-    "reuse_distances",
-    "reuse_histogram",
-    "reuse_intervals",
-    "ReuseHistogram",
-    "CapturesPartial",
-    "DiagnosticsPartial",
-    "LRUCache",
-    "ParallelEngine",
-    "plan_shards",
-    "AnalysisPass",
-    "ChunkContext",
-    "RunContext",
-    "UnknownPassError",
-    "fused_scan",
-    "get_pass",
-    "list_passes",
-    "register_pass",
-    "schedule_passes",
-    "FootprintDiagnostics",
-    "compute_diagnostics",
-    "code_windows",
-    "trace_window_metrics",
-    "mape",
-    "window_histogram",
-    "ExecutionIntervalTree",
-    "IntervalNode",
-    "access_interval_metrics",
-    "ZoomConfig",
-    "ZoomRegion",
-    "location_zoom",
-    "HeatmapResult",
-    "access_heatmap",
-    "format_quantity",
-    "render_function_table",
-    "render_interval_table",
-    "render_region_table",
-    "AnalysisConfig",
-    "MemGaze",
-    "MemGazeResult",
-    "Hotspot",
-    "find_hotspots",
-    "roi_from_hotspots",
-    "WindowConfidence",
-    "code_window_confidence",
-    "flag_undersampled",
-    "WorkingSetPoint",
-    "working_set_curve",
-    "Phase",
-    "detect_phases",
-    "CacheConfig",
-    "CacheStats",
-    "HierarchyConfig",
-    "HierarchyStats",
-    "simulate_cache",
-    "simulate_hierarchy",
-    "FunctionDelta",
-    "TraceDiff",
-    "diff_traces",
-]
+# name -> defining module, imported on first access (PEP 562)
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "repro.core.metrics": [
+            "block_ids", "captures_survivals", "estimated_footprint", "footprint",
+            "footprint_by_class", "nonconstant",
+        ],
+        "repro.core.growth": ["footprint_growth"],
+        "repro.core.reuse": [
+            "ReuseHistogram", "inter_sample_distance", "max_reuse_distance", "mean_reuse_distance",
+            "region_reuse", "reuse_distances", "reuse_histogram", "reuse_intervals",
+        ],
+        "repro.core.parallel": ["LRUCache", "ParallelEngine", "plan_shards"],
+        "repro.core.passes": [
+            "AnalysisPass", "CapturesPartial", "ChunkContext", "DiagnosticsPartial", "RunContext",
+            "UnknownPassError", "fused_scan", "get_pass", "list_passes", "register_pass",
+            "schedule_passes",
+        ],
+        "repro.core.diagnostics": ["FootprintDiagnostics", "compute_diagnostics"],
+        "repro.core.windows": ["code_windows", "trace_window_metrics"],
+        "repro.core.histograms": ["mape", "window_histogram"],
+        "repro.core.interval_tree": [
+            "ExecutionIntervalTree", "IntervalNode", "access_interval_metrics",
+        ],
+        "repro.core.zoom": ["ZoomConfig", "ZoomRegion", "location_zoom"],
+        "repro.core.heatmap": ["HeatmapResult", "access_heatmap"],
+        "repro.core.report": [
+            "format_quantity", "render_function_table", "render_interval_table",
+            "render_region_table",
+        ],
+        "repro.core.pipeline": ["AnalysisConfig", "MemGaze", "MemGazeResult"],
+        "repro.core.hotspot": ["Hotspot", "find_hotspots", "roi_from_hotspots"],
+        "repro.core.confidence": [
+            "WindowConfidence", "code_window_confidence", "flag_undersampled",
+        ],
+        "repro.core.workingset": ["WorkingSetPoint", "working_set_curve"],
+        "repro.core.phases": ["Phase", "detect_phases"],
+        "repro.core.cachesim": [
+            "CacheConfig", "CacheStats", "HierarchyConfig", "HierarchyStats", "simulate_cache",
+            "simulate_hierarchy",
+        ],
+        "repro.core.diff": ["FunctionDelta", "TraceDiff", "diff_traces"],
+    },
+)

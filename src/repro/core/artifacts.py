@@ -39,22 +39,40 @@ Two granularities are stored:
 Unfinalized partials are stored (not finalized results) because they
 merge: the same entry serves an exact re-run *and* the prefix of an
 extended trace.
+
+A health digest is only as trustworthy as the events it describes, so a
+third kind of entry vouches for archive *files*:
+
+* **verified-archive records** — named by the SHA-256 of an archive's
+  bytes, written only after a load whose decoded events and sample ids
+  matched the health CRCs (:meth:`ArtifactStore.admit`). The record
+  holds the health digest plus the trace summary a payload needs, so a
+  byte-identical file is itself verified: a cache-served report hashes
+  the file, finds the record and never decodes
+  (:meth:`ArtifactStore.get_verified`). Any damage changes the hash
+  and the run takes the full load-and-recover path. There is no
+  mtime/size shortcut: only the bytes name the record.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 
 import numpy as np
 
 from repro._util.diskcache import MISS, DiskCache
+from repro.trace.loader import TraceSummary, archive_path
 
 __all__ = ["MISS", "SCHEMA_VERSION", "freeze_params", "ArtifactStore"]
 
 #: Bump when a partial's pickle layout or a pass's partial semantics
 #: change: every key embeds it, so old entries become unreachable.
 SCHEMA_VERSION = 1
+
+#: Read size for hashing archive files.
+_HASH_BLOCK = 1 << 20
 
 #: Default size bound for CLI-managed caches (512 MiB).
 DEFAULT_MAX_BYTES = 512 * 1024 * 1024
@@ -115,6 +133,7 @@ class ArtifactStore:
             root, max_bytes=max_bytes, journal=journal, metrics=metrics
         )
         self.journal = journal
+        self.metrics = metrics
 
     # -- digests --------------------------------------------------------------
 
@@ -147,11 +166,94 @@ class ArtifactStore:
 
         ``None`` when the archive has no readable health record — such
         archives cannot be content-addressed and are analyzed uncached.
+        This is what the record *claims*; the analysis paths address a
+        file by it only once its events were checked against the record
+        (:meth:`admit`, :meth:`get_verified`).
         """
         from repro.trace.tracefile import read_trace_health
 
         health = read_trace_health(path)
         return None if health is None else ArtifactStore.digest_health(health)
+
+    @staticmethod
+    def file_digest(path) -> str | None:
+        """SHA-256 hex digest of an archive file's bytes (None if unreadable)."""
+        h = hashlib.sha256()
+        try:
+            with open(archive_path(path), "rb") as fh:
+                while block := fh.read(_HASH_BLOCK):
+                    h.update(block)
+        except OSError:
+            return None
+        return h.hexdigest()
+
+    # -- verified-archive records ---------------------------------------------
+
+    def _verified_event(self, op: str, sha256: str, **fields) -> None:
+        if self.metrics is not None:
+            self.metrics.counter(f"cache.verified_{op}s").inc()
+        if self.journal is not None:
+            self.journal.emit("verified-archive", op=op, sha256=sha256, **fields)
+
+    def admit(self, loaded, path) -> str | None:
+        """The content digest a decoded archive's partials live under.
+
+        ``loaded`` is the :class:`~repro.trace.loader.LoadedTrace` of the
+        archive at ``path``. Only a clean load checked against its health
+        record is addressable; its bytes are then recorded as verified
+        (keyed by their SHA-256), so later runs over the same bytes skip
+        the decode. Anything else returns None — with a journal warning
+        — and the run is analyzed uncached.
+        """
+        if loaded.health is None:
+            if self.journal is not None:
+                self.journal.warning(
+                    "archive has no usable health record; analysis cache disabled"
+                    if loaded.clean
+                    else "damaged archive: only a recovered prefix is analyzed, "
+                    "so the analysis cache is disabled for this run",
+                    path=str(path),
+                )
+            return None
+        digest = self.digest_health(loaded.health)
+        if digest is not None and loaded.sha256 is not None:
+            self.put_verified(loaded.sha256, digest, loaded.summary(), loaded.health)
+        return digest
+
+    def put_verified(
+        self, sha256: str, digest: str, summary: TraceSummary, health: dict
+    ) -> None:
+        """Record that the archive bytes hashing to ``sha256`` were verified."""
+        self.cache.put(
+            f"verified-{sha256[:32]}",
+            {
+                "schema": SCHEMA_VERSION,
+                "sha256": sha256,
+                "digest": digest,
+                "sample_ids": health.get("sample_id_crc") is not None,
+                "summary": dataclasses.asdict(summary),
+            },
+        )
+        self._verified_event("record", sha256, digest=digest)
+
+    def get_verified(self, sha256: str) -> dict | None:
+        """The verified record of the archive bytes hashing to ``sha256``.
+
+        A hit is a dict with the health ``digest``, ``sample_ids``
+        (whether the trace stores sample ids) and the
+        :class:`~repro.trace.loader.TraceSummary` under ``summary``;
+        anything else is None.
+        """
+        record = self.cache.get(f"verified-{sha256[:32]}")
+        try:
+            if record["schema"] != SCHEMA_VERSION or record["sha256"] != sha256:
+                raise ValueError("stale record")
+            record = dict(record, summary=TraceSummary(**record["summary"]))
+        except (KeyError, TypeError, ValueError):
+            self._verified_event("miss", sha256)
+            return None
+        self._verified_event("hit", sha256, digest=record["digest"])
+        return record
 
     # -- whole-trace partials -------------------------------------------------
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro._util.sortedset import unique_sorted
+from repro._util.sortedset import group_runs
 from repro.trace.collector import CollectionResult
 from repro.trace.compress import sample_ratio_from
 
@@ -75,12 +75,16 @@ def code_window_confidence(
         return {}
 
     out: dict[str, WindowConfidence] = {}
-    # implied (uncompressed) records per (sample, fn)
-    weights = 1.0 + events["n_const"].astype(np.float64)
-    for fid in unique_sorted(events["fn"]):
-        mask = events["fn"] == fid
+    # implied (uncompressed) records per (sample, fn); one stable grouping
+    # keeps each function's records in trace order, so the per-sample
+    # sums accumulate in the same order as a per-function mask would
+    order, fids, bounds = group_runs(events["fn"])
+    weights = 1.0 + events["n_const"].take(order).astype(np.float64)
+    sids = np.asarray(sample_id).take(order)
+    for k, fid in enumerate(fids):
+        lo, hi = bounds[k], bounds[k + 1]
         per_sample = np.zeros(n_samples, dtype=np.float64)
-        np.add.at(per_sample, sample_id[mask], weights[mask])
+        np.add.at(per_sample, sids[lo:hi], weights[lo:hi])
         present = int((per_sample > 0).sum())
         # variance of the per-sample counts across ALL samples (zeros
         # included — absence is information); SE of the n-sample total

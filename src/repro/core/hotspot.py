@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro._util.sortedset import unique_sorted
+from repro._util.sortedset import group_runs
 from repro.trace.event import EVENT_DTYPE
 from repro.trace.guards import RegionOfInterest
 
@@ -119,11 +119,13 @@ def function_ranges(events: np.ndarray) -> dict[int, tuple[int, int]]:
     """Observed [lo, hi) ip range per function id (from the trace itself)."""
     if events.dtype != EVENT_DTYPE:
         raise TypeError(f"expected EVENT_DTYPE events, got {events.dtype}")
-    out: dict[int, tuple[int, int]] = {}
-    for fid in unique_sorted(events["fn"]):
-        ips = events["ip"][events["fn"] == fid]
-        out[int(fid)] = (int(ips.min()), int(ips.max()) + 4)
-    return out
+    if len(events) == 0:
+        return {}
+    order, fids, bounds = group_runs(events["fn"])
+    ips = events["ip"].take(order)
+    lo = np.minimum.reduceat(ips, bounds[:-1])
+    hi = np.maximum.reduceat(ips, bounds[:-1])
+    return {int(f): (int(a), int(b) + 4) for f, a, b in zip(fids, lo, hi)}
 
 
 def roi_from_ranges(

@@ -80,8 +80,8 @@ from __future__ import annotations
 import itertools
 import os
 import time
-from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -102,6 +102,9 @@ from repro.core.passes import (
 )
 from repro.core.reuse import _HIST_MAX_EXP, ReuseHistogram
 from repro.core.shm import ShardRef, SharedSlab, attach_shard, publish_shard
+
+if TYPE_CHECKING:
+    from concurrent.futures import Executor, Future
 
 __all__ = [
     "plan_shards",
@@ -270,6 +273,9 @@ class ParallelEngine:
 
     def _executor(self) -> Executor:
         if self._pool is None:
+            # parent-side only; a cache-served run never builds a pool
+            from concurrent.futures import ProcessPoolExecutor
+
             self._pool = ProcessPoolExecutor(max_workers=max(1, self.workers))
         return self._pool
 
@@ -442,14 +448,15 @@ class ParallelEngine:
         scheduled: list[ResolvedRequest],
         window_id,
         store_key: str | None = None,
-    ) -> list:
+    ) -> list | None:
         """Merged partials for a schedule, memoized per (window, params, pass).
 
         Lookup order per pass: the in-memory LRU, then (with a
         ``store_key`` content digest and a configured store) the
         persistent :class:`~repro.core.artifacts.ArtifactStore`, then
         one fused :meth:`_scan` for whatever is still missing. Scanned
-        partials are written back to both layers.
+        partials are written back to both layers. With ``events=None``
+        nothing is scanned: the first missing partial returns None.
         """
         use_store = self.store is not None and store_key is not None
         out: list = [None] * len(scheduled)
@@ -474,6 +481,8 @@ class ParallelEngine:
                     if key is not None:
                         self.cache.put(key, stored)
                     continue
+            if events is None:
+                return None
             missing.append(i)
         if missing:
             subset = [scheduled[i] for i in missing]
@@ -514,9 +523,10 @@ class ParallelEngine:
         ``store_key`` enables the persistent cache for this call when
         the engine carries an :class:`~repro.core.artifacts.ArtifactStore`:
         it must be the content digest of exactly ``(events, sample_id)``
-        (:meth:`ArtifactStore.digest_events` /
-        :meth:`ArtifactStore.archive_digest`) — partials are then served
-        from and persisted to disk, bit-identical to recomputation.
+        (:meth:`ArtifactStore.digest_events`, or
+        :meth:`ArtifactStore.admit` for a verified archive load) —
+        partials are then served from and persisted to disk,
+        bit-identical to recomputation.
         """
         scheduled = schedule_passes(requests)
         merged = self._merged_partials(
@@ -524,6 +534,32 @@ class ParallelEngine:
         )
         return finalize_schedule(
             scheduled, merged, RunContext(rho=rho, fn_names=fn_names or {})
+        )
+
+    def stored_results(
+        self,
+        requests,
+        *,
+        store_key: str,
+        rho: float,
+        fn_names: dict[int, str],
+        window_id=None,
+    ) -> dict | None:
+        """:meth:`run_passes` served wholly from the caches, or None.
+
+        For a trace known only by its content digest (a verified archive
+        that was never decoded): when every scheduled partial is in the
+        LRU or the store, the finalized results are exactly what
+        :meth:`run_passes` returns over the events; otherwise None.
+        """
+        scheduled = schedule_passes(requests)
+        merged = self._merged_partials(
+            None, None, scheduled, window_id, store_key=store_key
+        )
+        if merged is None:
+            return None
+        return finalize_schedule(
+            scheduled, merged, RunContext(rho=rho, fn_names=fn_names)
         )
 
     def heatmap(
@@ -620,7 +656,7 @@ class ParallelEngine:
                     slab.release()
         return merged, n_events, last_sid, sid_seen
 
-    def _tail_scan(self, path, specs, size: int, state: dict):
+    def _tail_scan(self, path, specs, size: int, state: dict, verify):
         """Scan only the events appended after a cached trace state.
 
         Skips ``state['n_events']`` events while checksumming them
@@ -644,6 +680,7 @@ class ParallelEngine:
             metrics=self.metrics,
             journal=self.journal,
             skip=skip,
+            verify=verify,
         )
         try:
             first = next(chunks, None)
@@ -696,12 +733,19 @@ class ParallelEngine:
         :attr:`FileAnalysis.pass_results`.
 
         With a persistent store configured, the archive is content-
-        addressed by its health-record digest: a pass whose whole-trace
-        partial is already stored is served without touching the file at
-        all, and an archive that *extends* a previously analyzed trace
-        (same CRC prefix, new chunks appended) scans only the new tail
-        and merges against the cached prefix partials. Either way the
-        results are bit-identical to a cold scan.
+        addressed by its health-record digest, but a digest is trusted
+        only for proven bytes. A file whose SHA-256 has a verified-archive
+        record (:meth:`ArtifactStore.get_verified`) is served its stored
+        whole-trace partials without decoding anything; an archive that
+        *extends* a previously analyzed trace (same CRC prefix, new
+        chunks appended) scans only the new tail and merges against the
+        cached prefix partials. Every scan checks the decoded bytes
+        against the health CRCs in
+        :data:`~repro.trace.tracefile.HEALTH_CHUNK_EVENTS` steps
+        (:class:`~repro.trace.tracefile.HealthVerifier`): only a scan that
+        matches persists partials and state and records the file as
+        verified; one that does not is journaled and left uncached.
+        Either way the results are bit-identical to a cold scan.
 
         Footprint, diagnostics and captures/survivals are exactly the
         whole-trace values for any chunking. The reuse histogram resets
@@ -712,7 +756,9 @@ class ParallelEngine:
         (chunk-scoped results are also never persisted to the store,
         since they vary with ``chunk_size``).
         """
+        from repro.trace.loader import TraceSummary
         from repro.trace.tracefile import (
+            HealthVerifier,
             iter_trace_chunks,
             read_trace_health,
             read_trace_meta,
@@ -727,20 +773,18 @@ class ParallelEngine:
         base_names = {name for name, _ in requests}
         requests += [r for r in passes if (r if isinstance(r, str) else r[0]) not in base_names]
         scheduled = schedule_passes(requests)
+        index = {r.name: i for i, r in enumerate(scheduled)}
         size = chunk_size or self.chunk_size or (1 << 20)
         t_stream = time.perf_counter()
 
-        health = None
-        digest: str | None = None
+        # only bytes proven against their health record are addressable:
+        # a verified-archive record, or this run's own checked scan
+        sha256 = record = None
         if self.store is not None:
-            health = read_trace_health(path)
-            digest = None if health is None else ArtifactStore.digest_health(health)
-            if digest is None and self.journal is not None:
-                self.journal.warning(
-                    "archive has no usable health record; analysis cache disabled",
-                    path=str(path),
-                )
-        sid_present = health is not None and health.get("sample_id_crc") is not None
+            sha256 = ArtifactStore.file_digest(path)
+            record = None if sha256 is None else self.store.get_verified(sha256)
+        digest = None if record is None else record["digest"]
+        sid_present = record is not None and record["sample_ids"]
 
         def cacheable(name: str) -> bool:
             # chunk-scoped partials (whole_without_samples passes on an
@@ -762,7 +806,7 @@ class ParallelEngine:
         missing = [i for i, v in enumerate(merged) if v is None]
 
         mode = "cached"
-        n_events = int(health["n_events"]) if health is not None else 0
+        n_events = record["summary"].n_events if record is not None else 0
         skipped = 0
         last_sid: int | None = None
         sid_seen = sid_present  # cache hits require stored sample ids
@@ -770,6 +814,19 @@ class ParallelEngine:
             sub = [scheduled[i] for i in missing]
             specs_sub = [r.spec for r in sub]
             scanned = None
+            health = None
+            if self.store is not None:
+                health = read_trace_health(path)
+                digest = None if health is None else ArtifactStore.digest_health(health)
+                sid_present = health is not None and health.get("sample_id_crc") is not None
+                if digest is None and self.journal is not None:
+                    self.journal.warning(
+                        "archive has no usable health record; analysis cache disabled",
+                        path=str(path),
+                    )
+
+            def verifier():
+                return None if digest is None else HealthVerifier(health)
 
             # 2. incremental: a stored state whose CRCs prefix this trace
             if digest is not None and sid_present:
@@ -783,7 +840,8 @@ class ParallelEngine:
                             break
                         prior.append(p)
                     if prior is not None:
-                        got = self._tail_scan(path, specs_sub, size, state)
+                        verify = verifier()
+                        got = self._tail_scan(path, specs_sub, size, state, verify)
                         if got is not None:
                             tail, n_tail, last_sid, _ = got
                             scanned = (
@@ -800,12 +858,14 @@ class ParallelEngine:
 
             # 3. full scan for whatever the caches could not provide
             if scanned is None:
+                verify = verifier()
                 scanned, n_events, last_sid, sid_seen = self._fold_stream(
                     iter_trace_chunks(
                         path,
                         chunk_size=size,
                         metrics=self.metrics,
                         journal=self.journal,
+                        verify=verify,
                     ),
                     specs_sub,
                 )
@@ -815,6 +875,14 @@ class ParallelEngine:
             for i, partial in zip(missing, scanned):
                 merged[i] = partial
 
+            if digest is not None and not verify.ok:
+                if self.journal is not None:
+                    self.journal.warning(
+                        "archive events disagree with its health record; "
+                        "results are not cached",
+                        path=str(path),
+                    )
+                digest = None
             # persist what was just computed (and the trace's state, so a
             # future appended archive can match this one as its prefix)
             if digest is not None:
@@ -824,6 +892,21 @@ class ParallelEngine:
                         self.store.put_partial(digest, r.name, r.params, merged[i])
                 if sid_present and last_sid is not None:
                     self.store.put_state(digest, health, last_sid)
+                # the scanned bytes are now proven; vouch for them unless
+                # the file changed under the scan
+                if sha256 is not None and ArtifactStore.file_digest(path) == sha256:
+                    diag = merged[index["diagnostics"]]
+                    self.store.put_verified(
+                        sha256,
+                        digest,
+                        TraceSummary.of(
+                            meta,
+                            n_events,
+                            verify.max_sample_id,
+                            diag.a_obs + diag.n_suppressed,
+                        ),
+                        health,
+                    )
         self.timers.add("stream-events", 0.0, items=n_events - skipped)
 
         degraded = n_events > 0 and not sid_seen
@@ -836,7 +919,6 @@ class ParallelEngine:
                 reuse_scope="chunk",
             )
 
-        index = {r.name: i for i, r in enumerate(scheduled)}
         diag_p = merged[index["diagnostics"]]
         implied = diag_p.a_obs + diag_p.n_suppressed
         rho = (meta.n_loads_total / implied) if implied else 1.0

@@ -16,25 +16,16 @@ Mirrors MemGaze's DynInst-based instrumentor:
   with annotations to reconstruct the load-level event trace.
 """
 
-from repro.instrument.classify import LoadInfo, classify_loads, classify_module
-from repro.instrument.annotations import (
-    AnnotationFile,
-    LoadAnnotation,
-    PtwAnnotation,
-)
-from repro.instrument.instrumenter import InstrumentResult, instrument_module
-from repro.instrument.attribution import SourceMap
-from repro.instrument.rebuild import rebuild_trace
+from repro._lazy import attach
 
-__all__ = [
-    "LoadInfo",
-    "classify_loads",
-    "classify_module",
-    "AnnotationFile",
-    "LoadAnnotation",
-    "PtwAnnotation",
-    "InstrumentResult",
-    "instrument_module",
-    "SourceMap",
-    "rebuild_trace",
-]
+# name -> defining module, imported on first access (PEP 562)
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "repro.instrument.classify": ["LoadInfo", "classify_loads", "classify_module"],
+        "repro.instrument.annotations": ["AnnotationFile", "LoadAnnotation", "PtwAnnotation"],
+        "repro.instrument.instrumenter": ["InstrumentResult", "instrument_module"],
+        "repro.instrument.attribution": ["SourceMap"],
+        "repro.instrument.rebuild": ["rebuild_trace"],
+    },
+)

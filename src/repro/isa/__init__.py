@@ -17,34 +17,18 @@ small ISA with exactly those properties:
   the raw ``ptwrite`` packet stream (instrumented mode).
 """
 
-from repro.isa.program import (
-    BasicBlock,
-    Instruction,
-    MemRef,
-    Module,
-    Opcode,
-    Procedure,
-)
-from repro.isa.builder import ProgramBuilder
-from repro.isa.cfg import CFG, Loop, build_cfg, natural_loops
-from repro.isa.dataflow import InductionInfo, analyze_induction
-from repro.isa.interp import ExecResult, Interpreter, PTW_DTYPE
+from repro._lazy import attach
 
-__all__ = [
-    "BasicBlock",
-    "Instruction",
-    "MemRef",
-    "Module",
-    "Opcode",
-    "Procedure",
-    "ProgramBuilder",
-    "CFG",
-    "Loop",
-    "build_cfg",
-    "natural_loops",
-    "InductionInfo",
-    "analyze_induction",
-    "ExecResult",
-    "Interpreter",
-    "PTW_DTYPE",
-]
+# name -> defining module, imported on first access (PEP 562)
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "repro.isa.program": [
+            "BasicBlock", "Instruction", "MemRef", "Module", "Opcode", "Procedure",
+        ],
+        "repro.isa.builder": ["ProgramBuilder"],
+        "repro.isa.cfg": ["CFG", "Loop", "build_cfg", "natural_loops"],
+        "repro.isa.dataflow": ["InductionInfo", "analyze_induction"],
+        "repro.isa.interp": ["ExecResult", "Interpreter", "PTW_DTYPE"],
+    },
+)

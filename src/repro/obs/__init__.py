@@ -23,14 +23,13 @@ nothing when observability is off. ``memgaze report --journal PATH
 ``docs/observability.md`` for the schema and catalog.
 """
 
-from repro.obs.journal import RunJournal, read_journal
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro._lazy import attach
 
-__all__ = [
-    "RunJournal",
-    "read_journal",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-]
+# name -> defining module, imported on first access (PEP 562)
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "repro.obs.journal": ["RunJournal", "read_journal"],
+        "repro.obs.metrics": ["Counter", "Gauge", "Histogram", "MetricsRegistry"],
+    },
+)

@@ -25,23 +25,16 @@ honors: a live ``query`` response equals ``memgaze report --json
 ingested so far, per session at any worker count (``docs/serving.md``).
 """
 
-from repro.serve.client import ServeBusy, ServeClient, ServeError, submit_archive
-from repro.serve.daemon import ServeConfig, TraceServer
-from repro.serve.protocol import ProtocolError
-from repro.serve.session import SessionManager, ServeSession
-from repro.serve.shard import ServeOpError, WorkerCrashed, route_session
+from repro._lazy import attach
 
-__all__ = [
-    "ProtocolError",
-    "ServeBusy",
-    "ServeClient",
-    "ServeConfig",
-    "ServeError",
-    "ServeOpError",
-    "ServeSession",
-    "SessionManager",
-    "TraceServer",
-    "WorkerCrashed",
-    "route_session",
-    "submit_archive",
-]
+# name -> defining module, imported on first access (PEP 562)
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "repro.serve.client": ["ServeBusy", "ServeClient", "ServeError", "submit_archive"],
+        "repro.serve.daemon": ["ServeConfig", "TraceServer"],
+        "repro.serve.protocol": ["ProtocolError"],
+        "repro.serve.session": ["SessionManager", "ServeSession"],
+        "repro.serve.shard": ["ServeOpError", "WorkerCrashed", "route_session"],
+    },
+)

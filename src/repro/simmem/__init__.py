@@ -12,7 +12,13 @@ analysis layer consumes, so every downstream code path is exercised as it
 would be on a hardware-collected trace.
 """
 
-from repro.simmem.address_space import AddressSpace, Region
-from repro.simmem.recorder import AccessRecorder, AccessSite
+from repro._lazy import attach
 
-__all__ = ["AddressSpace", "Region", "AccessRecorder", "AccessSite"]
+# name -> defining module, imported on first access (PEP 562)
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "repro.simmem.address_space": ["AddressSpace", "Region"],
+        "repro.simmem.recorder": ["AccessRecorder", "AccessSite"],
+    },
+)

@@ -18,9 +18,15 @@ static classifier would assign to the corresponding compiled code:
   adjacency runs strided, gathers through adjacency Irregular.
 """
 
-from repro.simmem.datastructs.array import FlatArray
-from repro.simmem.datastructs.open_hash import OpenHashMap
-from repro.simmem.datastructs.hopscotch import HopscotchMap
-from repro.simmem.datastructs.csr import CSRGraph
+from repro._lazy import attach
 
-__all__ = ["FlatArray", "OpenHashMap", "HopscotchMap", "CSRGraph"]
+# name -> defining module, imported on first access (PEP 562)
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "repro.simmem.datastructs.array": ["FlatArray"],
+        "repro.simmem.datastructs.open_hash": ["OpenHashMap"],
+        "repro.simmem.datastructs.hopscotch": ["HopscotchMap"],
+        "repro.simmem.datastructs.csr": ["CSRGraph"],
+    },
+)

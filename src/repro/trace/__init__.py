@@ -7,62 +7,26 @@ full traces, the class-based trace compression with its decompression math
 time-overhead model behind Fig. 7.
 """
 
-from repro.trace.event import (
-    EVENT_DTYPE,
-    LoadClass,
-    concat_events,
-    empty_events,
-    make_events,
-)
-from repro.trace.buffer import CircularBuffer
-from repro.trace.sampler import SamplingConfig, sample_bounds
-from repro.trace.collector import (
-    CollectionResult,
-    FullTraceResult,
-    collect_full_trace,
-    collect_sampled_trace,
-)
-from repro.trace.compress import (
-    compression_ratio,
-    decompress_counts,
-    sample_ratio,
-)
-from repro.trace.tracefile import TraceMeta, read_trace, write_trace
-from repro.trace.overhead import OverheadModel, OverheadReport, PTMode
-from repro.trace.guards import RegionOfInterest, apply_guards
-from repro.trace.packing import (
-    PackedTrace,
-    pack_strided_runs,
-    packed_bytes,
-    unpack_strided_runs,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "EVENT_DTYPE",
-    "LoadClass",
-    "concat_events",
-    "empty_events",
-    "make_events",
-    "CircularBuffer",
-    "SamplingConfig",
-    "sample_bounds",
-    "CollectionResult",
-    "FullTraceResult",
-    "collect_full_trace",
-    "collect_sampled_trace",
-    "compression_ratio",
-    "decompress_counts",
-    "sample_ratio",
-    "TraceMeta",
-    "read_trace",
-    "write_trace",
-    "OverheadModel",
-    "OverheadReport",
-    "PTMode",
-    "RegionOfInterest",
-    "apply_guards",
-    "PackedTrace",
-    "pack_strided_runs",
-    "packed_bytes",
-    "unpack_strided_runs",
-]
+# name -> defining module, imported on first access (PEP 562)
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "repro.trace.event": [
+            "EVENT_DTYPE", "LoadClass", "concat_events", "empty_events", "make_events",
+        ],
+        "repro.trace.buffer": ["CircularBuffer"],
+        "repro.trace.sampler": ["SamplingConfig", "sample_bounds"],
+        "repro.trace.collector": [
+            "CollectionResult", "FullTraceResult", "collect_full_trace", "collect_sampled_trace",
+        ],
+        "repro.trace.compress": ["compression_ratio", "decompress_counts", "sample_ratio"],
+        "repro.trace.tracefile": ["TraceMeta", "read_trace", "write_trace"],
+        "repro.trace.overhead": ["OverheadModel", "OverheadReport", "PTMode"],
+        "repro.trace.guards": ["RegionOfInterest", "apply_guards"],
+        "repro.trace.packing": [
+            "PackedTrace", "pack_strided_runs", "packed_bytes", "unpack_strided_runs",
+        ],
+    },
+)

@@ -458,7 +458,28 @@ def _audit_archive(path) -> _Audit:
             "one window",
             member="sample_id",
         )
+    _verify_sample_ids(audit, health)
     return audit
+
+
+def _verify_sample_ids(audit: _Audit, health: dict | None) -> None:
+    """Cut the kept prefix at the first sample-id chunk failing its checksum."""
+    sid, crcs = audit.sample_id, (health or {}).get("sample_id_crc")
+    if sid is None or crcs is None or not len(sid):
+        return
+    step = int(health["chunk_events"])
+    for i, crc in enumerate(crc32_chunks(sid, step)):
+        if i >= len(crcs) or crc != int(crcs[i]):
+            audit.report.add(
+                KIND_BIT_FLIP,
+                f"sample_id chunk {i} fails its checksum",
+                member="sample_id",
+                chunk=i,
+            )
+            keep = i * step
+            audit.events, audit.sample_id = audit.events[:keep], sid[:keep]
+            audit.report.n_events_ok = keep
+            return
 
 
 # -- public API ---------------------------------------------------------------
@@ -480,18 +501,19 @@ def recover_read(
 ) -> tuple[np.ndarray, TraceMeta, np.ndarray | None, list[Finding]]:
     """Best-effort load of a damaged archive: the verified event prefix.
 
-    Tries the normal eager read first; on any structural failure falls
+    Tries the normal eager read first; on any structural failure — or
+    events that disagree with the archive's health checksums — falls
     back to the audit pass, drops corrupt tail chunks, and returns
     ``(events, meta, sample_id, findings)``. Every finding is journaled
     as a warning when a :class:`~repro.obs.journal.RunJournal` is
     passed. Raises :class:`TraceFormatError` only when nothing usable
     survives (no readable metadata at all).
     """
-    from repro.trace.tracefile import read_trace
+    from repro.trace.tracefile import read_verified_trace
 
     actual = _actual_path(path)
     try:
-        events, meta, sample_id = read_trace(actual)
+        events, meta, sample_id, _ = read_verified_trace(actual)
         return events, meta, sample_id, []
     except Exception:
         pass  # fall through to degraded-mode recovery

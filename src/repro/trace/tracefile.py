@@ -43,17 +43,19 @@ from typing import Iterator
 
 import numpy as np
 
-from repro._util.crc import crc32_chunks, crc32_of
+from repro._util.crc import byte_view, crc32_chunks, crc32_of
 from repro.trace.event import EVENT_DTYPE, check_load_classes
 
 __all__ = [
     "TraceFormatError",
     "TraceMeta",
     "PrefixSkip",
+    "HealthVerifier",
     "write_trace",
     "read_trace",
     "read_trace_meta",
     "read_trace_health",
+    "read_verified_trace",
     "iter_trace_chunks",
     "packet_bytes",
 ]
@@ -190,14 +192,13 @@ def _parse_meta(path, blob: bytes) -> TraceMeta:
         raise TraceFormatError(path, "meta", f"unreadable trace metadata: {e}") from e
 
 
-def read_trace(path) -> tuple[np.ndarray, TraceMeta, np.ndarray | None]:
-    """Read a trace archive written by :func:`write_trace`.
+def _read_archive(source, path):
+    """``(events, meta, sample_id, health)`` from an archive file or file object.
 
-    Raises :class:`TraceFormatError` when a required member is missing,
-    the metadata does not parse, or a record carries a load-class code
-    outside :class:`~repro.trace.event.LoadClass`.
+    ``path`` names the archive in errors; ``health`` is the parsed health
+    record, or None when the archive carries no usable one.
     """
-    with np.load(path) as archive:
+    with np.load(source) as archive:
         for member in ("events", "meta"):
             if member not in archive:
                 raise TraceFormatError(
@@ -206,12 +207,46 @@ def read_trace(path) -> tuple[np.ndarray, TraceMeta, np.ndarray | None]:
         events = archive["events"]
         meta = _parse_meta(path, bytes(archive["meta"]))
         sample_id = archive["sample_id"] if "sample_id" in archive else None
+        health = _parse_health(archive["health"]) if "health" in archive else None
     if events.dtype != EVENT_DTYPE:
         raise TraceFormatError(
             path, "events", f"archive events have dtype {events.dtype}"
         )
     _check_classes(path, events)
-    return events, meta, sample_id
+    return events, meta, sample_id, health
+
+
+def read_trace(path) -> tuple[np.ndarray, TraceMeta, np.ndarray | None]:
+    """Read a trace archive written by :func:`write_trace`.
+
+    Raises :class:`TraceFormatError` when a required member is missing,
+    the metadata does not parse, or a record carries a load-class code
+    outside :class:`~repro.trace.event.LoadClass`.
+    """
+    return _read_archive(path, path)[:3]
+
+
+def read_verified_trace(source, path=None):
+    """Read an archive and prove its events against its health record.
+
+    Returns ``(events, meta, sample_id, health)``. Unlike
+    :func:`read_trace`, decoded events and sample ids must match the
+    health record's per-chunk CRCs: an archive whose ``health`` member
+    disagrees with its events (a swapped or stale record) raises
+    :class:`TraceFormatError` with key ``health`` — the same verdict
+    :func:`repro.trace.health.validate` reaches. Archives without a
+    health record read as before, with ``health=None``.
+    """
+    path = source if path is None else path
+    events, meta, sample_id, health = _read_archive(source, path)
+    if health is not None:
+        check = HealthVerifier(health)
+        check.feed(events, sample_id)
+        if not check.ok:
+            raise TraceFormatError(
+                path, "health", "events or sample ids fail their health checksums"
+            )
+    return events, meta, sample_id, health
 
 
 def _check_classes(path, events: np.ndarray) -> None:
@@ -232,6 +267,24 @@ def read_trace_meta(path) -> TraceMeta:
         return _parse_meta(path, bytes(archive["meta"]))
 
 
+def _parse_health(member: np.ndarray) -> dict | None:
+    """A ``health`` member's record, or None when unusable."""
+    try:
+        record = json.loads(bytes(member).decode("utf-8"))
+    except (ValueError, UnicodeDecodeError):
+        return None
+    if not isinstance(record, dict) or "version" not in record:
+        return None
+    try:
+        sid_crc = record.get("sample_id_crc")
+        if int(record["chunk_events"]) <= 0 or int(record["n_events"]) < 0:
+            return None
+        [int(c) for c in record["events_crc"] + (sid_crc or [])]
+    except (KeyError, TypeError, ValueError):
+        return None
+    return record
+
+
 def read_trace_health(path) -> dict | None:
     """Read an archive's ``health`` record (per-chunk CRCs), or None.
 
@@ -245,15 +298,82 @@ def read_trace_health(path) -> dict | None:
         with np.load(path) as archive:
             if "health" not in archive:
                 return None
-            record = json.loads(bytes(archive["health"]).decode("utf-8"))
+            return _parse_health(archive["health"])
     except (OSError, ValueError, KeyError, zipfile.BadZipFile, zlib.error):
         return None
-    if not isinstance(record, dict):
-        return None
-    required = {"version", "chunk_events", "n_events", "events_crc"}
-    if not required <= set(record):
-        return None
-    return record
+
+
+class HealthVerifier:
+    """Running check of decoded archive bytes against a health record.
+
+    :meth:`feed` takes events (and sample ids) in archive order, in
+    pieces of any size; CRC32s run across piece boundaries in the
+    record's ``chunk_events`` steps, so a streamed scan, a skipped
+    prefix plus its tail, and one eager read all reach the same verdict.
+    :attr:`ok` holds once everything was fed and every checksum, the
+    event count and the presence of sample ids match the record.
+    ``health`` must be a well-formed record (``read_trace_health``).
+    """
+
+    def __init__(self, health: dict) -> None:
+        self.step = int(health["chunk_events"])
+        self._n_expected = int(health["n_events"])
+        sid_crc = health.get("sample_id_crc")
+        self._want = {
+            "events": [int(c) for c in health["events_crc"]],
+            "sample_id": None if sid_crc is None else [int(c) for c in sid_crc],
+        }
+        self._got: dict[str, list[int]] = {"events": [], "sample_id": []}
+        self._crc = {"events": 0, "sample_id": 0}
+        self._fill = {"events": 0, "sample_id": 0}
+        self._n_events = 0
+        self._n_sids = 0
+        #: the largest sample id fed (0 when none was)
+        self.max_sample_id = 0
+
+    def feed(self, events: np.ndarray, sample_id: np.ndarray | None) -> None:
+        """Checksum the next ``events`` (and their ``sample_id``)."""
+        self._n_events += len(events)
+        self._run("events", events)
+        if sample_id is not None and len(sample_id):
+            top = int(sample_id.max())
+            self.max_sample_id = top if not self._n_sids else max(self.max_sample_id, top)
+            self._n_sids += len(sample_id)
+            self._run("sample_id", sample_id)
+
+    def _run(self, member: str, arr: np.ndarray) -> None:
+        buf, item = byte_view(arr), arr.dtype.itemsize
+        crc, fill, done = self._crc[member], self._fill[member], 0
+        while done < len(arr):
+            take = min(self.step - fill, len(arr) - done)
+            crc = zlib.crc32(buf[done * item : (done + take) * item], crc)
+            fill += take
+            done += take
+            if fill == self.step:
+                self._got[member].append(crc)
+                crc, fill = 0, 0
+        self._crc[member], self._fill[member] = crc, fill
+
+    def _final(self, member: str) -> list[int]:
+        # a trailing partial chunk, or the empty trace's one checksum
+        got = self._got[member]
+        if self._fill[member] or not got:
+            return got + [self._crc[member]]
+        return got
+
+    @property
+    def ok(self) -> bool:
+        """Whether everything fed so far is exactly the recorded trace."""
+        if self._n_events != self._n_expected:
+            return False
+        if self._final("events") != self._want["events"]:
+            return False
+        if self._want["sample_id"] is None:
+            return self._n_sids == 0
+        return (
+            self._n_sids == self._n_events
+            and self._final("sample_id") == self._want["sample_id"]
+        )
 
 
 @dataclass
@@ -332,6 +452,7 @@ def _skip_prefix(
     skip: PrefixSkip,
     metrics,
     journal,
+    verify: "HealthVerifier | None",
 ) -> None:
     """Discard ``skip.n_events`` from the streams, checksumming as it goes."""
     if skip.n_events <= 0:
@@ -351,12 +472,15 @@ def _skip_prefix(
                 f"cannot skip {skip.n_events} events: archive holds fewer"
             )
         skip.events_crc.append(crc32_of(ev))
+        sid = None
         if sid_stream is not None:
             sid = sid_stream.read(take)
             if len(sid) < take:
                 raise ValueError("sample_id member shorter than events member")
             skip.sample_id_crc.append(crc32_of(sid))
             skip.last_sample_id = int(sid[-1])
+        if verify is not None:
+            verify.feed(ev, sid)
         remaining -= take
     if metrics is not None:
         metrics.counter("trace.events_skipped").inc(skip.n_events)
@@ -376,6 +500,7 @@ def iter_trace_chunks(
     metrics=None,
     journal=None,
     skip: PrefixSkip | None = None,
+    verify: HealthVerifier | None = None,
 ) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
     """Yield ``(events, sample_id)`` chunks of a trace archive, streaming.
 
@@ -405,6 +530,11 @@ def iter_trace_chunks(
     under ``trace.events_skipped`` — not as chunks read). Yielding then
     continues from the skip point, so an appended archive's new tail
     streams without re-analyzing its cached prefix.
+
+    With a :class:`HealthVerifier`, every decoded byte — skipped prefix
+    included — is fed to it in archive order; once the generator is
+    exhausted, ``verify.ok`` says whether the archive's events are the
+    ones its health record checksums.
     """
     if chunk_size <= 0:
         raise ValueError(f"chunk_size must be > 0, got {chunk_size}")
@@ -422,7 +552,7 @@ def iter_trace_chunks(
         )
         try:
             if skip is not None:
-                _skip_prefix(ev_stream, sid_stream, skip, metrics, journal)
+                _skip_prefix(ev_stream, sid_stream, skip, metrics, journal, verify)
             carry_ev = np.empty(0, dtype=ev_stream.dtype)
             carry_sid = (
                 np.empty(0, dtype=sid_stream.dtype) if sid_stream is not None else None
@@ -433,6 +563,8 @@ def iter_trace_chunks(
                     t0 = time.perf_counter()
                 ev = ev_stream.read(chunk_size)
                 sid = sid_stream.read(chunk_size) if sid_stream is not None else None
+                if verify is not None:
+                    verify.feed(ev, sid)
                 done = len(ev) < chunk_size
                 if len(carry_ev):
                     ev = np.concatenate([carry_ev, ev])

@@ -21,13 +21,13 @@ The package is layered so every stage is golden-testable:
     shared by tests and CI: ``python -m repro.viz.validate FILE``.
 """
 
-from repro.viz.template import render_html, render_viewmodel
-from repro.viz.viewmodel import VIEWMODEL_SCHEMA, build_viewmodel, viewmodel_json
+from repro._lazy import attach
 
-__all__ = [
-    "VIEWMODEL_SCHEMA",
-    "build_viewmodel",
-    "viewmodel_json",
-    "render_html",
-    "render_viewmodel",
-]
+# name -> defining module, imported on first access (PEP 562)
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "repro.viz.template": ["render_html", "render_viewmodel"],
+        "repro.viz.viewmodel": ["VIEWMODEL_SCHEMA", "build_viewmodel", "viewmodel_json"],
+    },
+)

@@ -14,26 +14,17 @@
   ``cache_sweep`` what-if pass.
 """
 
-from repro.workloads.microbench import (
-    MICROBENCH_SPECS,
-    MicrobenchResult,
-    build_microbench,
-    run_microbench,
-)
-from repro.workloads.kernels import KERNELS, KernelResult, build_kernel, run_kernel
-from repro.workloads.cost import MemoryCostModel
-from repro.workloads.parallel import interleave_streams, split_vertices
+from repro._lazy import attach
 
-__all__ = [
-    "MICROBENCH_SPECS",
-    "MicrobenchResult",
-    "build_microbench",
-    "run_microbench",
-    "KERNELS",
-    "KernelResult",
-    "build_kernel",
-    "run_kernel",
-    "MemoryCostModel",
-    "interleave_streams",
-    "split_vertices",
-]
+# name -> defining module, imported on first access (PEP 562)
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "repro.workloads.microbench": [
+            "MICROBENCH_SPECS", "MicrobenchResult", "build_microbench", "run_microbench",
+        ],
+        "repro.workloads.kernels": ["KERNELS", "KernelResult", "build_kernel", "run_kernel"],
+        "repro.workloads.cost": ["MemoryCostModel"],
+        "repro.workloads.parallel": ["interleave_streams", "split_vertices"],
+    },
+)

@@ -10,16 +10,14 @@
   with subgraph sampling) and ``cc-sv`` (Shiloach-Vishkin).
 """
 
-from repro.workloads.gap.graphs import build_csr, kronecker_edges, uniform_edges
-from repro.workloads.gap.pagerank import PageRankResult, run_pagerank
-from repro.workloads.gap.cc import CCResult, run_cc
+from repro._lazy import attach
 
-__all__ = [
-    "build_csr",
-    "kronecker_edges",
-    "uniform_edges",
-    "PageRankResult",
-    "run_pagerank",
-    "CCResult",
-    "run_cc",
-]
+# name -> defining module, imported on first access (PEP 562)
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "repro.workloads.gap.graphs": ["build_csr", "kronecker_edges", "uniform_edges"],
+        "repro.workloads.gap.pagerank": ["PageRankResult", "run_pagerank"],
+        "repro.workloads.gap.cc": ["CCResult", "run_cc"],
+    },
+)

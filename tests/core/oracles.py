@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.confidence import WindowConfidence
 from repro.core.diagnostics import FootprintDiagnostics
 from repro.core.heatmap import HeatmapResult
 from repro.core.reuse import reuse_distances
+from repro.trace.compress import sample_ratio_from
 from repro.trace.event import LoadClass
 
 CONST, STR, IRR = (int(c) for c in LoadClass)
@@ -136,3 +138,50 @@ def heatmap(
     return HeatmapResult(
         counts=counts, reuse=reuse, base=base, page_size=page_size, t_edges=t_edges
     )
+
+
+def function_ranges(events: np.ndarray) -> dict[int, tuple[int, int]]:
+    """Observed [lo, hi) ip range per function, one full-trace mask each."""
+    out: dict[int, tuple[int, int]] = {}
+    for fid in np.unique(events["fn"]):
+        ips = events["ip"][events["fn"] == fid]
+        out[int(fid)] = (int(ips.min()), int(ips.max()) + 4)
+    return out
+
+
+def code_window_confidence(
+    collection, fn_names=None, *, min_samples: int = 5, max_relative_error: float = 0.25
+) -> dict[str, WindowConfidence]:
+    """Per-function sampling confidence, one full-trace mask per function."""
+    import math
+
+    fn_names = fn_names or {}
+    events, sample_id, n_samples = (
+        collection.events, collection.sample_id, collection.n_samples
+    )
+    if len(events) == 0 or n_samples <= 0:
+        return {}
+    rho = sample_ratio_from(collection)
+    weights = 1.0 + events["n_const"].astype(np.float64)
+    out = {}
+    for fid in np.unique(events["fn"]):
+        mask = events["fn"] == fid
+        per_sample = np.zeros(n_samples, dtype=np.float64)
+        np.add.at(per_sample, sample_id[mask], weights[mask])
+        present = int((per_sample > 0).sum())
+        var = per_sample.var(ddof=1) if n_samples > 1 else 0.0
+        stderr = rho * math.sqrt(var * n_samples)
+        a_est = float(rho * per_sample.sum())
+        name = fn_names.get(int(fid), f"fn{int(fid)}")
+        out[name] = WindowConfidence(
+            function=name,
+            n_samples_present=present,
+            n_samples_total=n_samples,
+            A_est=a_est,
+            stderr=float(stderr),
+            undersampled=(
+                present < min_samples
+                or (a_est > 0 and stderr / a_est > max_relative_error)
+            ),
+        )
+    return out

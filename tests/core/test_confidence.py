@@ -59,3 +59,26 @@ class TestConfidence:
         c = conf["steady"]
         # present in every sample except the one the burst fully occupies
         assert c.n_samples_present >= c.n_samples_total - 1
+
+
+class TestConfidenceOracle:
+    def test_sparse_unsorted_ids_are_bit_identical_to_the_masked_loop(self, rng):
+        import oracles
+
+        n = 60_000
+        fn = rng.choice(np.array([4_000_000, 9, 77, 1, 250], dtype=np.uint32), size=n)
+        ev = make_events(
+            ip=1 + fn,
+            addr=rng.integers(0, 5_000, size=n),
+            cls=rng.integers(0, 3, size=n),
+            fn=fn,
+            n_const=rng.integers(0, 4, size=n),
+        )
+        cfg = SamplingConfig(period=1000, buffer_capacity=150, fill_jitter=0.2, seed=3)
+        col = collect_sampled_trace(ev, config=cfg)
+        names = {9: "nine", 250: "two-fifty"}
+        got = code_window_confidence(col, names)
+        want = oracles.code_window_confidence(col, names)
+        assert list(got) == list(want)
+        for name in want:  # dataclass equality compares floats exactly
+            assert got[name] == want[name]

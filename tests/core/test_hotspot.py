@@ -70,3 +70,17 @@ class TestRoi:
         hs = find_hotspots(ev, coverage=1.0)
         roi = roi_from_hotspots(hs, ev, top=1)
         assert len(roi.ranges) == 1
+
+
+class TestFunctionRangesOracle:
+    def test_sparse_unsorted_ids_match_the_masked_loop(self, rng):
+        import oracles
+
+        n = 20_000
+        fn = rng.choice(np.array([90_001, 3, 517, 12, 0], dtype=np.uint32), size=n)
+        ip = rng.integers(0x400000, 0x500000, size=n).astype(np.uint64)
+        ev = make_events(ip=ip, addr=np.arange(n), cls=2, fn=fn)
+        assert function_ranges(ev) == oracles.function_ranges(ev)
+
+    def test_empty_trace(self):
+        assert function_ranges(make_events(ip=[], addr=[], cls=2, fn=[])) == {}

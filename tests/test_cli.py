@@ -365,6 +365,46 @@ class TestCacheCLI:
         assert warm["disk_cache"]["hits"] > 0
         assert warm["disk_cache"]["misses"] == 0
 
+    def test_warm_json_report_never_decodes(self, trace_file, tmp_path, capsys, monkeypatch):
+        import repro.trace.loader as loader
+
+        cache, journal = tmp_path / "cache", tmp_path / "warm.jsonl"
+        for argv in (["--json"], ["--json", "--passes", "diagnostics,reuse"],
+                     ["--passes", "hotspot"]):
+            argv = ["report", str(trace_file), *argv, "--cache-dir", str(cache)]
+            assert main(argv) == 0
+            cold = capsys.readouterr().out
+
+            def no_decode(*a, **kw):
+                raise AssertionError("a cache-served report decoded the archive")
+
+            with monkeypatch.context() as m:
+                m.setattr(loader, "load_trace_collection", no_decode)
+                assert main(argv + ["--journal", str(journal)]) == 0
+            assert capsys.readouterr().out == cold
+        recs = [json.loads(line) for line in journal.read_text().splitlines()]
+        verified = [r for r in recs if r["event"] == "verified-archive"]
+        assert [r["op"] for r in verified] == ["hit"] * 3
+        assert not any(r["event"] == "chunk-read" for r in recs)
+
+    @pytest.mark.faults
+    def test_changed_bytes_miss_the_verified_record(self, trace_file, tmp_path, capsys):
+        from obs import faults
+
+        cache = tmp_path / "cache"
+        assert main(["report", str(trace_file), "--json", "--cache-dir", str(cache)]) == 0
+        capsys.readouterr()
+        hurt = faults.bit_flip(trace_file, tmp_path / "hurt.npz")
+        journal = tmp_path / "j.jsonl"
+        rc_cold = main(["report", str(hurt), "--json", "--no-cache"])
+        cold = capsys.readouterr().out
+        rc_warm = main(["report", str(hurt), "--json", "--cache-dir", str(cache),
+                        "--journal", str(journal)])
+        assert (rc_warm, capsys.readouterr().out) == (rc_cold, cold)
+        ops = [json.loads(line).get("op") for line in journal.read_text().splitlines()
+               if json.loads(line)["event"] == "verified-archive"]
+        assert ops == ["miss"]
+
     def test_cache_dir_alone_implies_cache(self, trace_file, tmp_path):
         cache = tmp_path / "cache"
         assert main(["report", str(trace_file), "--passes", "diagnostics",
@@ -384,10 +424,11 @@ class TestCacheCLI:
         capsys.readouterr()
         assert main(["cache", "stats", "--cache-dir", str(cache)]) == 0
         out = capsys.readouterr().out
-        assert "entries: 2" in out
+        # two pass partials plus the archive's verified record
+        assert "entries: 3" in out
         assert main(["cache", "prune", "--cache-dir", str(cache),
                      "--max-bytes", "0"]) == 0
-        assert "pruned 2 entries" in capsys.readouterr().out
+        assert "pruned 3 entries" in capsys.readouterr().out
         assert main(["cache", "clear", "--cache-dir", str(cache)]) == 0
         assert "cleared 0 entries" in capsys.readouterr().out
 
